@@ -104,9 +104,9 @@ class OracleReport:
 
 def three_route_report(params: ModelParams, state: ThermoState, N: int) -> OracleReport:
     """Compare enumeration, trace-power and eigen-sum log partition values."""
+    ln_eigen = partition_function(params, state, N)  # first: it rejects h + J*beta overflow
     ln_enum = enumerate_partition(params, state, N)
     ln_trace = trace_power_partition(params, state, N)
-    ln_eigen = partition_function(params, state, N)
     values = (ln_enum, ln_trace, ln_eigen)
     worst = 0.0
     for i in range(3):

@@ -1,19 +1,21 @@
 """Deterministic parameter-grid evaluation, peak detection, and the
 free-energy ordering check in the spin-state count.
 
-Grids are linear with inclusive endpoints.  Evaluation order is grid-index
-order, so a table built twice from the same inputs is identical.
+Grids are linear with inclusive endpoints.  A sweep lays out one column per
+parameter in grid-index order and evaluates the thermodynamic kernel over
+them, so a table built twice from the same inputs is identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .model import ModelParams, ThermoState
-from .thermo import ThermoPoint, thermo_point
+from .thermo import coupling_exponent, spectrum_core, thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
 OBSERVABLES = ("f", "S", "m", "chi", "C")
@@ -48,26 +50,23 @@ class GridSpec:
         return np.linspace(self.min, self.max, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated grid point with its full effective parameter context."""
-
-    coords: tuple[float, ...]
-    q: int
-    J: float
-    h: float
-    beta: float
-    point: ThermoPoint
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rows in grid-index order plus the base context they were built from."""
+    """Columns in grid-index order plus the base context they were built from.
+
+    coords holds one column per axis.  columns maps beta, T, h, J, q, f, S,
+    m, chi and C, in that order, to one value per row; a parameter the grid
+    does not vary is a broadcast view of its base value.
+    """
 
     axes: tuple[GridSpec, ...]
-    rows: tuple[SweepRow, ...]
+    coords: tuple[np.ndarray, ...]
+    columns: dict[str, np.ndarray]
     base_params: ModelParams
     base_state: ThermoState | None
+
+    def __len__(self) -> int:
+        return self.coords[0].size
 
 
 def _apply_axis(params: ModelParams, state: ThermoState | None, axis: str, value: float):
@@ -83,20 +82,41 @@ def _apply_axis(params: ModelParams, state: ThermoState | None, axis: str, value
         raise ValueError(f"invalid grid point {axis}={value!r}: {err}") from err
 
 
-def _require_state(state: ThermoState | None, axes: tuple[GridSpec, ...]) -> None:
-    if state is None and not any(g.axis in ("beta", "T") for g in axes):
+def _axis_values(grid: GridSpec) -> np.ndarray | None:
+    """The column an axis sets (beta for T, integers for q); None if a point is invalid."""
+    if grid.axis == "q":
+        return np.rint(grid.points()).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        values = 1.0 / grid.points() if grid.axis == "T" else grid.points()
+    lowest = 0.0 if grid.axis in ("beta", "T") else -np.inf
+    return values if np.all((values > lowest) & (values < np.inf)) else None
+
+
+def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> SweepTable:
+    if base_state is None and not any(g.axis in ("beta", "T") for g in grids):
         raise ValueError("a base ThermoState is required unless beta or T is swept")
+    values = [_axis_values(g) for g in grids]
+    if any(v is None for v in values):
+        # Walk the grid point by point so the scalar constructors name the
+        # first invalid point in grid-index order.
+        for point in itertools.product(*(g.points() for g in grids)):
+            p, s = base_params, base_state
+            for g, v in zip(grids, point):
+                p, s = _apply_axis(p, s, g.axis, float(v))
+
+    base = dict(asdict(base_params), beta=base_state and base_state.beta)
+    for g, column in zip(grids, np.meshgrid(*values, indexing="ij")):  # later axes override earlier ones
+        base["beta" if g.axis == "T" else g.axis] = column.ravel()
+    n = math.prod(g.steps for g in grids)
+    beta, h, J, q = (np.broadcast_to(base[name], n) for name in ("beta", "h", "J", "q"))
+    columns = dict(beta=beta, T=1.0 / beta, h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
+    coords = tuple(c.ravel() for c in np.meshgrid(*(g.points() for g in grids), indexing="ij"))
+    return SweepTable(tuple(grids), coords, columns, base_params, base_state)
 
 
 def sweep_1d(base_params: ModelParams, base_state: ThermoState | None, grid: GridSpec) -> SweepTable:
     """Evaluate all five thermodynamic functions along one grid axis."""
-    _require_state(base_state, (grid,))
-    rows = []
-    for v in grid.points():
-        v = float(v)
-        p, s = _apply_axis(base_params, base_state, grid.axis, v)
-        rows.append(SweepRow((v,), p.q, p.J, p.h, s.beta, thermo_point(p, s)))
-    return SweepTable((grid,), tuple(rows), base_params, base_state)
+    return _sweep(base_params, base_state, (grid,))
 
 
 def sweep_2d(
@@ -108,16 +128,7 @@ def sweep_2d(
     """Evaluate a 2D grid in row-major order, the x coordinate varying slowest."""
     if grid_x.axis == grid_y.axis:
         raise ValueError("the two grids must use distinct axes")
-    _require_state(base_state, (grid_x, grid_y))
-    rows = []
-    for vx in grid_x.points():
-        vx = float(vx)
-        px, sx = _apply_axis(base_params, base_state, grid_x.axis, vx)
-        for vy in grid_y.points():
-            vy = float(vy)
-            p, s = _apply_axis(px, sx, grid_y.axis, vy)
-            rows.append(SweepRow((vx, vy), p.q, p.J, p.h, s.beta, thermo_point(p, s)))
-    return SweepTable((grid_x, grid_y), tuple(rows), base_params, base_state)
+    return _sweep(base_params, base_state, (grid_x, grid_y))
 
 
 def find_peak(table: SweepTable, observable: str) -> tuple[float, float]:
@@ -129,16 +140,9 @@ def find_peak(table: SweepTable, observable: str) -> tuple[float, float]:
         raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     if len(table.axes) != 1:
         raise ValueError("find_peak needs a 1D table")
-    if not table.rows:
-        raise ValueError("empty table")
-    best_coord = table.rows[0].coords[0]
-    best_value = getattr(table.rows[0].point, observable)
-    for row in table.rows[1:]:
-        value = getattr(row.point, observable)
-        if value > best_value:
-            best_value = value
-            best_coord = row.coords[0]
-    return best_coord, best_value
+    values = table.columns[observable]
+    i = int(np.argmax(values))  # the first index of the maximum
+    return float(table.coords[0][i]), float(values[i])
 
 
 def refine_peak(fn, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
@@ -166,10 +170,10 @@ def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
     """True iff the free energy strictly decreases along q_list at every beta.
 
     The pairwise difference of log dominant eigenvalues is evaluated in the
-    cancellation-free form log1p((q' - q) / (e^{-x} + (q - 1))) with
-    x = 2(h + J*beta), so strictness is decided on the exact increment
-    rather than on subtractions of nearly equal free energies.  Increments
-    below double underflow (x < -745) report as not strictly decreasing.
+    cancellation-free form log1p((q' - q) r / (q - 1)), with r the kernel's
+    sigmoid at q, so strictness is decided on the exact increment rather
+    than on subtractions of nearly equal free energies.  Increments whose r
+    underflows (x + ln(q-1) < -745) report as not strictly decreasing.
     """
     if beta_grid.axis != "beta":
         raise ValueError("q_ordering_check needs a beta grid")
@@ -178,16 +182,6 @@ def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
         raise ValueError("q_list must be strictly increasing")
     if any(q < 2 for q in qs):
         raise ValueError("q values must be at least 2")
-    for beta in beta_grid.points():
-        x = 2.0 * (h + J * float(beta))
-        for qa, qb in zip(qs, qs[1:]):
-            # s = e^x / (1 + (qa-1) e^x), bounded in (0, 1/(qa-1)] either way.
-            if x > 0.0:
-                s = 1.0 / (math.exp(-x) + (qa - 1))
-            else:
-                ex = math.exp(x)
-                s = ex / (1.0 + (qa - 1) * ex)
-            increment = math.log1p((qb - qa) * s)
-            if not increment > 0.0:
-                return False
-    return True
+    qa, qb = np.array(qs[:-1])[:, None], np.array(qs[1:])[:, None]
+    r = spectrum_core(qa, coupling_exponent(J, h, beta_grid.points())).r
+    return bool(np.all(np.log1p((qb - qa) * r / (qa - 1)) > 0.0))

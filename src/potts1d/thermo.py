@@ -6,15 +6,19 @@ r = (q-1) e^{2(h+J beta)} / (1 + (q-1) e^{2(h+J beta)}), which is a plain
 sigmoid in t = 2(h+J beta) + ln(q-1).  Working with the pair (r, 1-r) and
 with tanh(t/2) = 2r - 1 keeps all five quantities finite and mutually
 consistent far beyond the range where e^{2(h+J beta)} itself overflows.
+thermo_arrays, the one place the five formulas are written, works
+elementwise on numpy arrays; the scalar functions are views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import ModelParams, ThermoState
-from .transfer import coupling_exponent, log_dominant_eigenvalue, _log_peak_weight
 
 # Relative-error tolerances the finite-difference report is judged against
 # (first derivatives, then second derivatives).
@@ -24,46 +28,32 @@ SECOND_DERIVATIVE_TOL = 1e-5
 # Default first-derivative step scale; second differences use 10x this.
 DEFAULT_FD_STEP = 1e-5
 
+# Above this value of 2*(h + J*beta) the dominant log-eigenvalue switches to
+# its large-exponent form; both branches agree to rounding at the threshold.
+LARGE_EXPONENT_THRESHOLD = 40.0
+
 T_TO_ZERO = "T->0"
 T_TO_INF = "T->inf"
 
 
-@dataclass(frozen=True)
-class StableCore:
+class StableCore(NamedTuple):
     """The recurring ratio shared by all thermodynamic closed forms.
 
     x is 2*(h + J*beta); r is the sigmoid of x + ln(q-1).  one_minus_r and
     two_r_minus_one are computed independently of r so no precision is lost
-    when r saturates at either end.
+    when r saturates at either end.  log_lambda_max is the stable log of the
+    dominant transfer-matrix eigenvalue.
     """
 
     x: float
     r: float
     one_minus_r: float
     two_r_minus_one: float
+    log_lambda_max: float
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def stable_core(params: ModelParams, state: ThermoState) -> StableCore:
-    x = 2.0 * coupling_exponent(params, state)
-    t = x + math.log(params.q - 1)
-    return StableCore(
-        x=x,
-        r=_sigmoid(t),
-        one_minus_r=_sigmoid(-t),
-        two_r_minus_one=math.tanh(0.5 * t),
-    )
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """The five thermodynamic functions evaluated at one parameter point."""
+class ThermoPoint(NamedTuple):
+    """The five thermodynamic functions, at one point or (thermo_arrays) elementwise."""
 
     f: float
     S: float
@@ -72,9 +62,69 @@ class ThermoPoint:
     C: float
 
 
+def coupling_exponent(J, h, beta):
+    """The bond exponent u = h + J*beta shared by every weight, elementwise;
+    a ValueError names the first point where it leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = h + J * beta
+    if not np.isfinite(u).all():
+        i = int(np.argmin(np.isfinite(u)))
+        J, h, beta = (float(a.flat[i]) for a in np.broadcast_arrays(J, h, beta))
+        raise ValueError(f"h + J*beta is not finite at J={J!r}, h={h!r}, beta={beta!r}")
+    return u
+
+
+def spectrum_core(q, u) -> StableCore:
+    """The stable core at bond exponent u, elementwise over arrays."""
+    x = 2.0 * u
+    log_q1 = np.log(q - 1)
+    t = x + log_q1
+    # Both sigmoid branches from exp(-|t|), which never overflows.
+    e = np.exp(-np.abs(t))
+    upper, lower = 1.0 / (1.0 + e), e / (1.0 + e)
+    # Each log-eigenvalue branch is evaluated everywhere; exp overflows only
+    # where the other branch is taken.
+    with np.errstate(over="ignore"):
+        large = u + log_q1 + np.log1p(np.exp(-x) / (q - 1))
+        small = -u + np.log1p((q - 1) * np.exp(x))
+    return StableCore(
+        x=x,
+        r=np.where(t >= 0.0, upper, lower),
+        one_minus_r=np.where(t >= 0.0, lower, upper),
+        two_r_minus_one=np.tanh(0.5 * t),
+        log_lambda_max=np.where(x > LARGE_EXPONENT_THRESHOLD, large, small),
+    )
+
+
+def thermo_arrays(q, J, h, beta) -> ThermoPoint:
+    """f, S, m, chi and C elementwise over broadcast arrays of q, J, h, beta."""
+    # Arrays even for scalars, so one point and a whole grid share the same
+    # numpy loops (numpy's scalar power rounds differently).
+    J, beta = np.asarray(J, dtype=float), np.asarray(beta, dtype=float)
+    core = spectrum_core(q, coupling_exponent(J, h, beta))
+    chi = 4.0 * core.r * core.one_minus_r / beta
+    return ThermoPoint(
+        f=-core.log_lambda_max / beta,
+        S=core.log_lambda_max - J * beta * core.two_r_minus_one,
+        m=core.two_r_minus_one / beta,
+        chi=chi,
+        C=J**2 * beta**3 * chi,  # see heat_capacity
+    )
+
+
+def stable_core(params: ModelParams, state: ThermoState) -> StableCore:
+    u = coupling_exponent(params.J, params.h, state.beta)
+    return StableCore(*map(float, spectrum_core(params.q, u)))
+
+
+def thermo_point(params: ModelParams, state: ThermoState) -> ThermoPoint:
+    """All five thermodynamic functions from one shared core evaluation."""
+    return ThermoPoint(*map(float, thermo_arrays(params.q, params.J, params.h, state.beta)))
+
+
 def free_energy(params: ModelParams, state: ThermoState) -> float:
     """Free energy per site: -log(dominant eigenvalue) / beta."""
-    return -log_dominant_eigenvalue(params, state) / state.beta
+    return thermo_point(params, state).f
 
 
 def entropy(params: ModelParams, state: ThermoState) -> float:
@@ -83,15 +133,12 @@ def entropy(params: ModelParams, state: ThermoState) -> float:
     Negative values at low temperature are a genuine feature of this
     convention and are returned unclamped.
     """
-    core = stable_core(params, state)
-    llm = log_dominant_eigenvalue(params, state)
-    return llm - params.J * state.beta * core.two_r_minus_one
+    return thermo_point(params, state).S
 
 
 def magnetization(params: ModelParams, state: ThermoState) -> float:
     """Magnetization per spin, (2r - 1) / beta; bounded by 1/beta."""
-    core = stable_core(params, state)
-    return core.two_r_minus_one / state.beta
+    return thermo_point(params, state).m
 
 
 def magnetization_zero_point(params: ModelParams, state: ThermoState) -> float:
@@ -104,8 +151,7 @@ def magnetization_zero_point(params: ModelParams, state: ThermoState) -> float:
 
 def susceptibility(params: ModelParams, state: ThermoState) -> float:
     """Susceptibility 4 r (1-r) / beta, strictly positive and at most 1/beta."""
-    core = stable_core(params, state)
-    return 4.0 * core.r * core.one_minus_r / state.beta
+    return thermo_point(params, state).chi
 
 
 def heat_capacity(params: ModelParams, state: ThermoState) -> float:
@@ -114,22 +160,7 @@ def heat_capacity(params: ModelParams, state: ThermoState) -> float:
     Computed as J^2 beta^3 times the susceptibility so the two functions
     stay consistent to rounding even where r(1-r) is subnormal.
     """
-    return params.J**2 * state.beta**3 * susceptibility(params, state)
-
-
-def thermo_point(params: ModelParams, state: ThermoState) -> ThermoPoint:
-    """All five thermodynamic functions from one shared core evaluation."""
-    core = stable_core(params, state)
-    llm = log_dominant_eigenvalue(params, state)
-    beta = state.beta
-    chi = 4.0 * core.r * core.one_minus_r / beta
-    return ThermoPoint(
-        f=-llm / beta,
-        S=llm - params.J * beta * core.two_r_minus_one,
-        m=core.two_r_minus_one / beta,
-        chi=chi,
-        C=params.J**2 * beta**3 * chi,
-    )
+    return thermo_point(params, state).C
 
 
 def asymptotic_entropy_limit(params: ModelParams, direction: str) -> float:
@@ -139,23 +170,11 @@ def asymptotic_entropy_limit(params: ModelParams, direction: str) -> float:
     entropy is temperature independent and the T -> infinity value is
     returned.  T -> infinity gives log[(1 + (q-1) e^{2h}) / e^h].
     """
+    if direction not in (T_TO_ZERO, T_TO_INF):
+        raise ValueError(f"unknown direction {direction!r}")
     if direction == T_TO_INF or params.J == 0.0:
-        if direction not in (T_TO_ZERO, T_TO_INF):
-            raise ValueError(f"unknown direction {direction!r}")
-        return _log_peak_weight(params.h, params.q)
-    if direction == T_TO_ZERO:
-        if params.J > 0.0:
-            return params.h + math.log(params.q - 1)
-        return -params.h
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _free_energy_at_T(params: ModelParams, T: float) -> float:
-    return free_energy(params, ThermoState(1.0 / T))
-
-
-def _free_energy_at_h(params: ModelParams, state: ThermoState, h: float) -> float:
-    return free_energy(ModelParams(params.q, params.J, h), state)
+        return float(spectrum_core(params.q, params.h).log_lambda_max)
+    return params.h + math.log(params.q - 1) if params.J > 0.0 else -params.h
 
 
 @dataclass(frozen=True)
@@ -195,8 +214,7 @@ def fd_verify(params: ModelParams, state: ThermoState, step: float = DEFAULT_FD_
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    T = state.T
-    h = params.h
+    T, h, beta = state.T, params.h, state.beta
     eps_t1 = step * max(1.0, T)
     eps_t2 = 10.0 * step * max(1.0, T)
     eps_h1 = step * max(1.0, abs(h))
@@ -204,29 +222,18 @@ def fd_verify(params: ModelParams, state: ThermoState, step: float = DEFAULT_FD_
     if T - eps_t2 <= 0.0:
         raise ValueError("step too large: T - step leaves the valid domain")
 
-    f0 = free_energy(params, state)
+    # One kernel call for the free energy at the point, at T +- eps_t1 and
+    # T +- eps_t2 (h fixed), and at h +- eps_h1 and h +- eps_h2 (beta fixed).
+    hs = np.array([h] * 5 + [h + eps_h1, h - eps_h1, h + eps_h2, h - eps_h2])
+    betas = np.array([beta] + [1.0 / t for t in (T + eps_t1, T - eps_t1, T + eps_t2, T - eps_t2)] + [beta] * 4)
+    f0, t1p, t1m, t2p, t2m, h1p, h1m, h2p, h2m = thermo_arrays(params.q, params.J, hs, betas).f.tolist()
 
-    s_fd = -(_free_energy_at_T(params, T + eps_t1) - _free_energy_at_T(params, T - eps_t1)) / (2.0 * eps_t1)
-    m_fd = -(_free_energy_at_h(params, state, h + eps_h1) - _free_energy_at_h(params, state, h - eps_h1)) / (2.0 * eps_h1)
-    chi_fd = -(
-        _free_energy_at_h(params, state, h + eps_h2)
-        - 2.0 * f0
-        + _free_energy_at_h(params, state, h - eps_h2)
-    ) / (eps_h2 * eps_h2)
-    c_fd = -T * (
-        _free_energy_at_T(params, T + eps_t2)
-        - 2.0 * f0
-        + _free_energy_at_T(params, T - eps_t2)
-    ) / (eps_t2 * eps_t2)
+    s_fd = -(t1p - t1m) / (2.0 * eps_t1)
+    m_fd = -(h1p - h1m) / (2.0 * eps_h1)
+    chi_fd = -(h2p - 2.0 * f0 + h2m) / (eps_h2 * eps_h2)
+    c_fd = -T * (t2p - 2.0 * f0 + t2m) / (eps_t2 * eps_t2)
 
-    e_s = _rel_error(entropy(params, state), s_fd)
-    e_m = _rel_error(magnetization(params, state), m_fd)
-    e_chi = _rel_error(susceptibility(params, state), chi_fd)
-    e_c = _rel_error(heat_capacity(params, state), c_fd)
-    passed = (
-        e_s <= FIRST_DERIVATIVE_TOL
-        and e_m <= FIRST_DERIVATIVE_TOL
-        and e_chi <= SECOND_DERIVATIVE_TOL
-        and e_c <= SECOND_DERIVATIVE_TOL
-    )
-    return FdReport(e_s, e_m, e_chi, e_c, passed)
+    closed = thermo_point(params, state)
+    errors = [_rel_error(*pair) for pair in zip(closed[1:], (s_fd, m_fd, chi_fd, c_fd))]  # S, m, chi, C
+    tolerances = (FIRST_DERIVATIVE_TOL,) * 2 + (SECOND_DERIVATIVE_TOL,) * 2
+    return FdReport(*errors, passed=all(e <= tol for e, tol in zip(errors, tolerances)))

@@ -17,23 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, ThermoState
+from .thermo import coupling_exponent, spectrum_core
 
 # Dense materialization bound: exp(300) is representable with margin, while
 # the log-domain paths stay valid for any finite parameters.
 DENSE_EXPONENT_LIMIT = 300.0
 
-# Above this value of 2*(h + J*beta) the dominant log-eigenvalue switches to
-# its large-exponent form; both branches agree to rounding at the threshold.
-LARGE_EXPONENT_THRESHOLD = 40.0
-
 
 class ConvergenceError(RuntimeError):
     """Power iteration did not reach the requested tolerance."""
-
-
-def coupling_exponent(params: ModelParams, state: ThermoState) -> float:
-    """The bond exponent scale u = h + J*beta shared by every weight."""
-    return params.h + params.J * state.beta
 
 
 @dataclass(frozen=True)
@@ -67,13 +59,10 @@ class TransferMatrix:
         np.fill_diagonal(m, self.diag)
         return m
 
-    def trace(self) -> float:
-        return self.q * self.diag
-
 
 def build_matrix(params: ModelParams, state: ThermoState) -> TransferMatrix:
     """Transfer matrix for the given parameters and inverse temperature."""
-    u = coupling_exponent(params, state)
+    u = coupling_exponent(params.J, params.h, state.beta)
     return TransferMatrix(q=params.q, log_diag=-u, log_offdiag=u)
 
 
@@ -90,17 +79,11 @@ class EigenSpectrum:
     log_lambda_max: float
 
 
-def _log_peak_weight(u: float, q: int) -> float:
-    """log of exp(-u) * (1 + (q-1) exp(2u)) without overflow for any finite u."""
-    x = 2.0 * u
-    if x > LARGE_EXPONENT_THRESHOLD:
-        return u + math.log(q - 1) + math.log1p(math.exp(-x) / (q - 1))
-    return -u + math.log1p((q - 1) * math.exp(x))
-
-
 def log_dominant_eigenvalue(params: ModelParams, state: ThermoState) -> float:
-    """Stable log of the dominant transfer-matrix eigenvalue."""
-    return _log_peak_weight(coupling_exponent(params, state), params.q)
+    """Stable log of the dominant transfer-matrix eigenvalue,
+    log of exp(-u) * (1 + (q-1) exp(2u)), without overflow for any finite u."""
+    u = coupling_exponent(params.J, params.h, state.beta)
+    return float(spectrum_core(params.q, u).log_lambda_max)
 
 
 def closed_form_spectrum(params: ModelParams, state: ThermoState) -> EigenSpectrum:
@@ -112,8 +95,8 @@ def closed_form_spectrum(params: ModelParams, state: ThermoState) -> EigenSpectr
     value fields saturate to +-inf once they leave double range; the log
     field is always finite.
     """
-    u = coupling_exponent(params, state)
-    llm = _log_peak_weight(u, params.q)
+    u = coupling_exponent(params.J, params.h, state.beta)
+    llm = log_dominant_eigenvalue(params, state)
     try:
         minor = -2.0 * math.sinh(u)
     except OverflowError:
@@ -131,19 +114,23 @@ def minor_ratio(params: ModelParams, state: ThermoState) -> float:
     Computed without forming either eigenvalue, so it is exact in the
     regimes where the dense values would overflow or cancel.
     """
-    u = coupling_exponent(params, state)
+    u = coupling_exponent(params.J, params.h, state.beta)
     q = params.q
     if u > 0.0:
         return math.expm1(-2.0 * u) / (math.exp(-2.0 * u) + (q - 1))
     return -math.expm1(2.0 * u) / (1.0 + (q - 1) * math.exp(2.0 * u))
 
 
-def _log_abs_minor_ratio(u: float, q: int) -> float:
-    """log |lambda_minor / lambda_max| via a cancellation-free complement.
+def _log_abs_minor_ratio(u: float, q: int, llm: float) -> float:
+    """log |lambda_minor / lambda_max|, given llm = log lambda_max.
 
-    1 - |ratio| is formed directly from exp(-2|u|), which keeps the result
-    meaningful even when |ratio| is within one ulp of 1.
+    For |u| < 1/2, where |ratio| < tanh(1/2), the direct form loses nothing
+    and stays exact as u -> 0.  Otherwise 1 - |ratio| is formed directly
+    from exp(-2|u|), which keeps the result meaningful even when |ratio| is
+    within one ulp of 1.
     """
+    if abs(u) < 0.5:
+        return math.log(2.0) + math.log(abs(math.sinh(u))) - llm
     e2 = math.exp(-2.0 * abs(u))
     if u > 0.0:
         complement = (2.0 * e2 + (q - 2)) / (e2 + (q - 1))
@@ -256,11 +243,11 @@ def partition_function(params: ModelParams, state: ThermoState, N: int) -> float
     if N < 1:
         raise ValueError("N must be at least 1")
     q = params.q
-    u = coupling_exponent(params, state)
-    llm = _log_peak_weight(u, q)
+    u = coupling_exponent(params.J, params.h, state.beta)
+    llm = log_dominant_eigenvalue(params, state)
     if u == 0.0:
         return N * llm
-    z = math.log(q - 1) + N * _log_abs_minor_ratio(u, q)
+    z = math.log(q - 1) + N * _log_abs_minor_ratio(u, q, llm)
     if u > 0.0 and N % 2 == 1:
         if z == 0.0:
             # q = 2 with exp(-2u) underflowed: the correction is

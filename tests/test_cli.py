@@ -1,11 +1,20 @@
+import dataclasses
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from potts1d import ModelParams, ThermoState, thermo_point
 from potts1d.cli import main, parse_run_config, run, table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
+
+
+def _text(write, table):
+    buf = io.StringIO()
+    write(table, buf)
+    return buf.getvalue()
 
 
 def _parse_point_output(text):
@@ -81,8 +90,8 @@ def test_sweep_csv_output(tmp_path):
 
 def test_sweep_json_and_csv_round_trip_identically(tmp_path):
     table = sweep_1d(ModelParams(5, -1.3, 0.7), ThermoState(1.7), GridSpec("h", -2.0, 2.0, 11))
-    csv_text = table_to_csv(table)
-    json_text = table_to_json(table)
+    csv_text = _text(table_to_csv, table)
+    json_text = _text(table_to_json, table)
     payload = json.loads(json_text)
     csv_rows = [line.split(",") for line in csv_text.strip().split("\n")[1:]]
     assert payload["metadata"]["columns"] == csv_text.split("\n")[0].split(",")
@@ -116,6 +125,71 @@ def test_surface_command_row_major(tmp_path):
     assert coords == [(1.0, -1.0), (1.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
 
 
+def test_surface_json_is_json_dumps_text_and_q_stays_integer(tmp_path):
+    # 5,600 rows: several output blocks
+    argv = ["surface", "--J", "0.9", "--h", "0.1", "--beta", "0.8",
+            "--axis", "q", "--min", "2", "--max", "9", "--steps", "8",
+            "--axis2", "T", "--min2", "0.05", "--max2", "20", "--steps2", "700"]
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    text = (tmp_path / "s.json").read_text()
+    payload = json.loads(text)
+    assert json.dumps(payload) == text
+    q_index = payload["metadata"]["columns"].index("q", 2)  # past the q coordinate
+    assert [type(row[q_index]) for row in payload["rows"]] == [int] * 5600
+    assert payload["rows"][-1][q_index] == 9
+
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    cells = [line.split(",") for line in lines[1:]]
+    assert all(row[q_index] == str(int(float(row[0]))) for row in cells)
+    # both encodings hold the same values, row for row
+    assert [[float(c) for c in row] for row in cells] == payload["rows"]
+
+
+def test_negative_zero_keeps_its_sign_in_both_encodings():
+    # the formatter works per distinct bit pattern, so -0.0 must not be
+    # merged with 0.0
+    table = sweep_1d(ModelParams(3, 1.0, -0.0), ThermoState(1.0), GridSpec("J", -1.0, 1.0, 3))
+    columns = dict(table.columns, J=np.array([0.0, -0.0, 0.0]))
+    table = dataclasses.replace(table, columns=columns)
+    csv_rows = [line.split(",") for line in _text(table_to_csv, table).splitlines()[1:]]
+    assert [row[3] for row in csv_rows] == ["-0.0000000000000000e+00"] * 3  # h
+    assert [row[4] for row in csv_rows] == [  # J
+        "0.0000000000000000e+00", "-0.0000000000000000e+00", "0.0000000000000000e+00"
+    ]
+    json_text = _text(table_to_json, table)
+    assert [math.copysign(1.0, row[4]) for row in json.loads(json_text)["rows"]] == [1.0, -1.0, 1.0]
+    assert json.dumps(json.loads(json_text)) == json_text
+
+
+def test_coupling_overflow_is_a_domain_error(capsys):
+    # h + J*beta = 1e310 leaves double range
+    model = ["--q", "3", "--J", "1e300", "--h", "0"]
+    grids = ["--axis", "beta", "--min", "1", "--max", "1e10", "--steps", "2",
+             "--axis2", "h", "--min2", "0", "--max2", "1", "--steps2", "2"]
+    for argv in (["point", *model, "--beta", "1e10"],
+                 ["verify", *model, "--beta", "1e10"],
+                 ["surface", *model, *grids]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "h + J*beta is not finite at J=1e+300, h=0.0, beta=10000000000.0\n"
+
+
+def test_verify_tiny_coupling_exponent_against_mpmath(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    rc = main(["verify", "--q", "3", "--J", "0.1", "--h", "0", "--beta", "1e-17"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    values = {name.strip(): value for name, value in (line.split(" = ") for line in out.splitlines()[:3])}
+    with mpmath.workdps(60):
+        u = mpmath.mpf(0.1) * mpmath.mpf(1e-17)
+        lam_max, lam_minor = mpmath.exp(-u) + 2 * mpmath.exp(u), mpmath.exp(-u) - mpmath.exp(u)
+        ref = float(mpmath.log(lam_max**6 + 2 * lam_minor**6))  # q = 3, N = 6
+    for route in ("ln_Z enumeration", "ln_Z trace power", "ln_Z eigen sum"):
+        assert float(values[route]) == pytest.approx(ref, rel=1e-14)
+
+
 def test_surface_matches_library_route(tmp_path):
     table = sweep_2d(
         ModelParams(4, 0.9, 0.0),
@@ -123,11 +197,11 @@ def test_surface_matches_library_route(tmp_path):
         GridSpec("beta", 0.5, 1.5, 3),
         GridSpec("h", -1.0, 1.0, 3),
     )
-    text = table_to_csv(table)
+    text = _text(table_to_csv, table)
     rows = [r.split(",") for r in text.strip().split("\n")[1:]]
     assert len(rows) == 9
-    for row, table_row in zip(rows, table.rows):
-        assert float(row[-5]) == pytest.approx(table_row.point.f, rel=1e-15)
+    for row, f in zip(rows, table.columns["f"]):
+        assert float(row[-5]) == pytest.approx(f, rel=1e-15)
 
 
 def test_verify_command_pass_and_fail(capsys):

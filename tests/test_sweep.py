@@ -13,6 +13,7 @@ from potts1d import (
     susceptibility,
     sweep_1d,
     sweep_2d,
+    thermo_point,
 )
 from potts1d.sweep import refine_peak
 
@@ -43,23 +44,37 @@ def test_grid_endpoints_exact():
 
 def test_sweep_constant_columns_for_uniform_chain():
     table = sweep_1d(ModelParams(3, 0.0, 0.0), None, GridSpec("beta", 0.5, 2.0, 7))
-    assert len(table.rows) == 7
-    for row in table.rows:
-        assert row.point.f * row.beta == pytest.approx(-math.log(3.0), rel=1e-14)
-        assert row.point.S == pytest.approx(math.log(3.0), rel=1e-14)
-        assert row.point.C == 0.0
+    assert len(table) == 7
+    c = table.columns
+    for f, beta, S, C in zip(c["f"], c["beta"], c["S"], c["C"]):
+        assert f * beta == pytest.approx(-math.log(3.0), rel=1e-14)
+        assert S == pytest.approx(math.log(3.0), rel=1e-14)
+        assert C == 0.0
 
 
 def test_sweep_requires_state_unless_thermal_axis():
     with pytest.raises(ValueError, match="ThermoState"):
         sweep_1d(ModelParams(3, 1.0, 0.0), None, GridSpec("h", -1.0, 1.0, 3))
     table = sweep_1d(ModelParams(3, 1.0, 0.0), ThermoState(1.0), GridSpec("h", -1.0, 1.0, 3))
-    assert [r.h for r in table.rows] == [-1.0, 0.0, 1.0]
+    assert table.columns["h"].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_sweep_invalid_grid_point_names_coordinate():
+    params = ModelParams(3, 1.0, 0.0)
     with pytest.raises(ValueError, match="beta=-1.0"):
-        sweep_1d(ModelParams(3, 1.0, 0.0), None, GridSpec("beta", -1.0, 1.0, 3))
+        sweep_1d(params, None, GridSpec("beta", -1.0, 1.0, 3))
+    with pytest.raises(ValueError, match=r"^invalid grid point T=0.0: T must be positive and finite$"):
+        sweep_1d(params, None, GridSpec("T", 0.0, 1.0, 3))
+    # 1/T overflows for a subnormal T
+    with pytest.raises(ValueError, match=r"^invalid grid point T=5e-324: beta must be positive and finite$"):
+        sweep_1d(params, None, GridSpec("T", 5e-324, 1.0, 3))
+    # 2D: the first invalid point in grid-index order, x checked before y
+    with pytest.raises(ValueError, match="T=0.0"):
+        sweep_2d(params, None, GridSpec("beta", 0.5, 1.0, 2), GridSpec("T", 0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="beta=-1.0"):
+        sweep_2d(params, None, GridSpec("beta", -1.0, 1.0, 3), GridSpec("T", 0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="beta=-1.0"):
+        sweep_2d(params, ThermoState(1.0), GridSpec("h", 0.0, 1.0, 3), GridSpec("beta", -1.0, 1.0, 3))
 
 
 def test_sweep_temperature_axis_heat_capacity_peak():
@@ -67,15 +82,15 @@ def test_sweep_temperature_axis_heat_capacity_peak():
     table = sweep_1d(
         ModelParams(20, -0.66, 4.0), None, GridSpec("T", 0.001, 2.0, 400)
     )
-    cs = [row.point.C for row in table.rows]
+    cs = table.columns["C"].tolist()
     k = int(np.argmax(cs))
     assert 0 < k < len(cs) - 1
 
 
 def test_sweep_q_axis():
     table = sweep_1d(ModelParams(3, 5.15, -3.0), ThermoState(1.0), GridSpec("q", 3.0, 9.0, 7))
-    fs = [row.point.f for row in table.rows]
-    assert [row.q for row in table.rows] == [3, 4, 5, 6, 7, 8, 9]
+    fs = table.columns["f"].tolist()
+    assert table.columns["q"].tolist() == [3, 4, 5, 6, 7, 8, 9]
     assert all(b < a for a, b in zip(fs, fs[1:]))
 
 
@@ -148,13 +163,33 @@ def test_sweep_2d_row_major_order():
         GridSpec("beta", 1.0, 2.0, 2),
         GridSpec("h", -1.0, 1.0, 2),
     )
-    assert len(table.rows) == 4
-    assert [r.coords for r in table.rows] == [
+    assert len(table) == 4
+    assert list(zip(*(c.tolist() for c in table.coords))) == [
         (1.0, -1.0),
         (1.0, 1.0),
         (2.0, -1.0),
         (2.0, 1.0),
     ]
+
+
+def test_sweep_2d_rows_bit_identical_to_thermo_point():
+    # every axis pair of the README surfaces, far beyond exp overflow too
+    base = ModelParams(16, -12.0, 0.5)
+    grids = {
+        "beta": GridSpec("beta", 0.001, 30.0, 9),
+        "T": GridSpec("T", 0.05, 20.0, 8),
+        "h": GridSpec("h", -3.0, 3.0, 7),
+        "J": GridSpec("J", -12.0, 12.0, 6),
+        "q": GridSpec("q", 2.0, 38.0, 5),
+    }
+    for gx, gy in (("beta", "h"), ("T", "J"), ("h", "J"), ("q", "beta")):
+        table = sweep_2d(base, ThermoState(0.7), grids[gx], grids[gy])
+        c = {name: col.tolist() for name, col in table.columns.items()}
+        for i in range(len(table)):
+            point = thermo_point(ModelParams(c["q"][i], c["J"][i], c["h"][i]), ThermoState(c["beta"][i]))
+            for name in ("f", "S", "m", "chi", "C"):
+                assert c[name][i] == getattr(point, name)
+                assert math.copysign(1.0, c[name][i]) == math.copysign(1.0, getattr(point, name))
 
 
 def test_sweep_2d_rejects_duplicate_axis():
@@ -175,9 +210,9 @@ def test_sweep_2d_antiferromagnetic_surface_is_finite():
         GridSpec("beta", 0.001, 30.0, 12),
         GridSpec("h", -3.0, 3.0, 7),
     )
-    assert len(table.rows) == 84
-    for row in table.rows:
-        for v in (row.point.f, row.point.S, row.point.m, row.point.chi, row.point.C):
+    assert len(table) == 84
+    for name in ("f", "S", "m", "chi", "C"):
+        for v in table.columns[name]:
             assert math.isfinite(v)
 
 
@@ -191,8 +226,8 @@ def test_sweep_2d_ferromagnetic_surface_monotone_where_entropy_positive():
         GridSpec("beta", 0.001, 30.0, 40),
     )
     by_h = {}
-    for row in table.rows:
-        by_h.setdefault(row.coords[0], []).append(row.point.f)
+    for h, f in zip(table.coords[0].tolist(), table.columns["f"].tolist()):
+        by_h.setdefault(h, []).append(f)
     for h, fs in by_h.items():
         assert h + math.log(15.0) > 0.0
         assert all(b > a for a, b in zip(fs, fs[1:]))
@@ -202,14 +237,17 @@ def test_sweep_determinism():
     args = (ModelParams(5, -1.3, 0.7), ThermoState(1.7), GridSpec("h", -2.0, 2.0, 31))
     t1 = sweep_1d(*args)
     t2 = sweep_1d(*args)
-    assert t1 == t2
+    assert (t1.axes, list(t1.columns)) == (t2.axes, list(t2.columns))
+    for a, b in zip(t1.coords + tuple(t1.columns.values()), t2.coords + tuple(t2.columns.values())):
+        assert np.array_equal(a, b)
 
 
 def test_sweep_rows_satisfy_heat_capacity_identity():
     table = sweep_1d(ModelParams(7, -1.1, 0.4), None, GridSpec("beta", 0.2, 5.0, 25))
-    for row in table.rows:
-        ref = row.J**2 * row.beta**3 * row.point.chi
-        assert abs(row.point.C - ref) <= 1e-12 * max(abs(row.point.C), abs(ref), 1e-300)
+    c = table.columns
+    for J, beta, chi, C in zip(*(c[name].tolist() for name in ("J", "beta", "chi", "C"))):
+        ref = J**2 * beta**3 * chi
+        assert abs(C - ref) <= 1e-12 * max(abs(C), abs(ref), 1e-300)
 
 
 def test_q_ordering_check_reference_parameter_sets():

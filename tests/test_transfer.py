@@ -17,7 +17,8 @@ from potts1d import (
     numeric_dominant_eigenvalue,
     partition_function,
 )
-from potts1d.transfer import DENSE_EXPONENT_LIMIT, LARGE_EXPONENT_THRESHOLD, _log_peak_weight
+from potts1d.thermo import LARGE_EXPONENT_THRESHOLD
+from potts1d.transfer import DENSE_EXPONENT_LIMIT
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))  # h + J*beta = 1.2
 
@@ -247,6 +248,23 @@ def test_partition_function_deep_cancellation_regime():
     params = ModelParams(2, 0.0, 300.0)
     lnz = partition_function(params, state, 3)
     assert lnz == pytest.approx(300.0 + math.log(6.0), rel=1e-12)
+
+
+def test_partition_function_tiny_coupling_exponent():
+    # 0 < |h + J*beta| < 1e-16 once made the cancellation-free complement
+    # round to 1 and log1p(-1) raise
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(ModelParams(2, 5.0, 0.0), ThermoState(1e-300)), (ModelParams(3, 0.1, 0.0), ThermoState(1e-17)),
+             (ModelParams(5, 0.0, -3e-17), ThermoState(1.0)), (ModelParams(4, -1.0, 0.0), ThermoState(1e-320)),
+             (ModelParams(7, 1.0, -0.1), ThermoState(0.3))]
+    for params, state in cases:
+        for n in (1, 2, 3, 6, 13):
+            with mpmath.workdps(60):
+                u = mpmath.mpf(params.h) + mpmath.mpf(params.J) * mpmath.mpf(state.beta)
+                lam_max = mpmath.exp(-u) + (params.q - 1) * mpmath.exp(u)
+                lam_minor = mpmath.exp(-u) - mpmath.exp(u)
+                ref = float(mpmath.log(lam_max**n + (params.q - 1) * lam_minor**n))
+            assert partition_function(params, state, n) == pytest.approx(ref, rel=1e-14), (params, state, n)
 
 
 def test_partition_function_validates_n():
