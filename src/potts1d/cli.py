@@ -12,6 +12,7 @@ file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -122,7 +123,10 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="potts1d",
         description="Exact transfer-matrix thermodynamics of the 1D q-state "

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def _as_spin_count(q) -> int:
     qf = float(q)
@@ -46,6 +48,22 @@ class ModelParams:
             raise ValueError("h must be finite")
 
 
+def temperature(beta):
+    """T = 1/beta, elementwise over arrays.
+
+    A subnormal beta has no finite temperature: a ValueError names the first
+    beta whose reciprocal overflows.  ThermoState still accepts such a beta,
+    since ln Z_N stays finite there; the quantities that scale with T (f, m,
+    chi, the finite-N free energy) refuse it through this function.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        T = np.divide(1.0, beta)
+    if np.isinf(T).any():
+        b = float(np.asarray(beta).flat[int(np.argmax(np.isinf(T)))])
+        raise ValueError(f"T = 1/beta overflows at beta={b!r}")
+    return T
+
+
 @dataclass(frozen=True)
 class ThermoState:
     """Inverse temperature beta > 0, with k_B = 1 so that T = 1/beta."""
@@ -59,7 +77,7 @@ class ThermoState:
 
     @property
     def T(self) -> float:
-        return 1.0 / self.beta
+        return float(temperature(self.beta))
 
     @classmethod
     def from_temperature(cls, T) -> "ThermoState":

@@ -2,8 +2,9 @@
 dense matrix-power traces, and finite-N free energies.
 
 These routines never share arithmetic with the closed forms they check.
-Enumeration walks all q^N periodic configurations by mixed-radix counting
-in fixed-size chunks, so memory stays bounded at the configuration cap.
+Enumeration gives each of the q^N periodic chains its own count of unequal
+bonds, built one site at a time so that chains sharing a prefix share the
+work, and then weights the exact histogram of those counts.
 """
 
 from __future__ import annotations
@@ -18,15 +19,40 @@ from .transfer import build_matrix, partition_function
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
 
+# bincount copies its input to intp; histogramming this many one-byte counts
+# at a time keeps that copy at 512 KiB.
 _CHUNK = 1 << 16
+
+
+def _bond_count_histogram(q: int, N: int) -> np.ndarray:
+    """Exact number of periodic q-state chains of N sites with k unequal
+    bonds, for k = 0..N; the entries sum to q^N.
+
+    The count of every chain is held as one uint8 (k <= N <= 20 under the
+    cap), so the working memory stays at about q^N bytes.
+    """
+    ne = np.not_equal.outer(np.arange(q), np.arange(q)).view(np.uint8)
+    # cnt[last spin, earlier spins]: the first spin is the fastest index.
+    cnt = np.zeros((q, 1), dtype=np.uint8)
+    for _ in range(N - 1):
+        # The new spin goes on the slow axis, so numpy's inner loops run
+        # over the long run of earlier chains.
+        cnt = (ne[:, :, None] + cnt[None, :, :]).reshape(q, -1)
+    cnt.reshape(q, -1, q)[...] += ne[:, None, :]  # the periodic bond (last, first)
+    flat = cnt.ravel()
+    hist = np.zeros(N + 1, dtype=np.int64)
+    for start in range(0, flat.size, _CHUNK):
+        hist += np.bincount(flat[start:start + _CHUNK], minlength=N + 1)
+    return hist
 
 
 def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> float:
     """log of the sum of exp(-beta * energy) over all q^N periodic chains.
 
-    The sum is accumulated as a streaming log-sum-exp over fixed-size
-    chunks of configurations, so neither the weights nor the running total
-    can overflow.
+    Every chain is visited through its unequal-bond count k, and its weight
+    exp(w * (2k - N)), w = beta*J + h, depends on nothing else; the sum is
+    a log-sum-exp over the at most N + 1 occupied levels, so neither the
+    weights nor the total can overflow.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -37,27 +63,13 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
             f"q^N = {total} exceeds the enumeration cap of "
             f"{MAX_ENUMERATED_CONFIGS} configurations"
         )
+    hist = _bond_count_histogram(q, N)
     # -beta*E = (beta*J + h) * (agreement sum), per bond +1 unequal / -1 equal.
     w = state.beta * params.J + params.h
-
-    running_max = -math.inf
-    running_sum = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((idx.size, N), dtype=np.int64)
-        rem = idx
-        for j in range(N):
-            rem, digits[:, j] = np.divmod(rem, q)
-        unequal = digits != np.roll(digits, -1, axis=1)
-        log_weights = w * (2.0 * unequal.sum(axis=1) - N)
-        chunk_max = float(log_weights.max())
-        chunk_sum = float(np.exp(log_weights - chunk_max).sum())
-        if chunk_max > running_max:
-            running_sum = running_sum * math.exp(running_max - chunk_max) + chunk_sum
-            running_max = chunk_max
-        else:
-            running_sum += chunk_sum * math.exp(chunk_max - running_max)
-    return running_max + math.log(running_sum)
+    k = np.flatnonzero(hist)
+    log_weights = w * (2.0 * k - N)
+    peak = float(log_weights.max())
+    return peak + math.log(float(hist[k] @ np.exp(log_weights - peak)))
 
 
 def trace_power_partition(params: ModelParams, state: ThermoState, N: int) -> float:
@@ -87,7 +99,7 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
     Converges to the bulk free energy; for even N the gap is bounded by
     ln(q) / (beta * N) and shrinks geometrically in N.
     """
-    return -partition_function(params, state, N) / (state.beta * N)
+    return -partition_function(params, state, N) * state.T / N
 
 
 @dataclass(frozen=True)

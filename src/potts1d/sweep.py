@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, ThermoState
+from .model import ModelParams, ThermoState, temperature
 from .thermo import coupling_exponent, spectrum_core, thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
@@ -109,7 +109,7 @@ def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> S
         base["beta" if g.axis == "T" else g.axis] = column.ravel()
     n = math.prod(g.steps for g in grids)
     beta, h, J, q = (np.broadcast_to(base[name], n) for name in ("beta", "h", "J", "q"))
-    columns = dict(beta=beta, T=1.0 / beta, h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
+    columns = dict(beta=beta, T=temperature(beta), h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
     coords = tuple(c.ravel() for c in np.meshgrid(*(g.points() for g in grids), indexing="ij"))
     return SweepTable(tuple(grids), coords, columns, base_params, base_state)
 

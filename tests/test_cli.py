@@ -176,6 +176,20 @@ def test_coupling_overflow_is_a_domain_error(capsys):
         assert captured.err == "h + J*beta is not finite at J=1e+300, h=0.0, beta=10000000000.0\n"
 
 
+def test_beta_with_overflowing_temperature_is_a_domain_error(capsys):
+    # 1/beta overflows for beta = 1e-310, so f, m, chi and f_N have no value
+    model = ["--q", "3", "--J", "1", "--h", "0"]
+    grid = ["--axis", "beta", "--min", "1e-310", "--max", "1", "--steps", "2"]
+    for argv in (["point", *model, "--beta", "1e-310"],
+                 ["verify", *model, "--beta", "1e-310", "--n", "4"],
+                 ["sweep", *model, *grid],
+                 ["surface", *model[:4], *grid, "--axis2", "h", "--min2", "0", "--max2", "1", "--steps2", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "T = 1/beta overflows at beta=1e-310\n"
+
+
 def test_verify_tiny_coupling_exponent_against_mpmath(capsys):
     mpmath = pytest.importorskip("mpmath")
     rc = main(["verify", "--q", "3", "--J", "0.1", "--h", "0", "--beta", "1e-17"])
@@ -313,3 +327,22 @@ def test_run_config_parsing_defaults():
     )
     assert config.format == "csv"
     assert config.grids[0].axis == "h"
+
+
+def test_successive_commands_do_not_share_values(capsys):
+    # the parser is built once per process; no value may carry over
+    model = ["--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"]
+    config = parse_run_config(["verify", *model, "--n", "4", "--tolerance", "1e-3"])
+    assert (config.n, config.tolerance) == (4, 1e-3)
+    config = parse_run_config(["verify", "--q", "2", "--J", "0", "--h", "0", "--T", "2"])
+    assert (config.n, config.tolerance) == (6, 1e-10)
+    assert config.params == ModelParams(2, 0.0, 0.0) and config.state == ThermoState(0.5)
+    assert main(["peaks", *model, "--axis", "h", "--min", "-1", "--max", "1", "--steps", "5",
+                 "--observable", "m"]) == 0
+    assert main(["point", "--q", "3", "--J", "1", "--h", "0.5"]) == 2  # no beta from before
+    capsys.readouterr()
+    assert main(["point", *model]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"f = {thermo_point(ModelParams(3, 1.0, 0.5), ThermoState(0.7)).f!r}"
+    config = parse_run_config(["peaks", *model, "--axis", "h", "--min", "-1", "--max", "1",
+                               "--steps", "5"])
+    assert config.observable == "chi" and config.format == "csv" and config.out is None

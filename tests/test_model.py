@@ -60,6 +60,10 @@ def test_state_validation():
     assert ThermoState.from_temperature(4.0).beta == 0.25
     with pytest.raises(ValueError):
         ThermoState.from_temperature(0.0)
+    # a subnormal beta has no finite temperature
+    with pytest.raises(ValueError, match=r"^T = 1/beta overflows at beta=1e-310$"):
+        ThermoState(1e-310).T
+    assert ThermoState(1e-308).T == pytest.approx(1e308, rel=1e-15)
 
 
 def test_config_validation():

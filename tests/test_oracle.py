@@ -17,7 +17,7 @@ from potts1d import (
     three_route_report,
     trace_power_partition,
 )
-from potts1d.oracle import MAX_ENUMERATED_CONFIGS
+from potts1d.oracle import MAX_ENUMERATED_CONFIGS, _bond_count_histogram
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
 
@@ -43,6 +43,71 @@ def test_enumeration_four_term_hand_sum():
     expected = math.log(2 * math.exp(-2.0) + 2 * math.exp(2.0))
     assert expected == pytest.approx(2.711297108477755, rel=1e-15)
     assert enumerate_partition(params, state, 2) == pytest.approx(expected, rel=1e-13)
+
+
+def _small_chains(limit):
+    """Every (q, N) with N >= 2 and q^N <= limit."""
+    q = 2
+    while q * q <= limit:
+        n = 2
+        while q**n <= limit:
+            yield q, n
+            n += 1
+        q += 1
+
+
+def test_enumeration_every_small_chain_against_config_energy():
+    rng = np.random.default_rng(23)
+    chains = list(_small_chains(5000))
+    assert {(2, 12), (17, 3), (70, 2)} <= set(chains) and (71, 2) not in chains
+    for q, n in chains:
+        params = ModelParams(q, float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        state = ThermoState(float(rng.uniform(0.2, 2.0)))
+        assert enumerate_partition(params, state, n) == pytest.approx(
+            _brute_force_lnz(params, state, n), rel=1e-12
+        ), (q, n)
+
+
+def test_bond_count_histogram_counts_every_chain_once():
+    for q, n in _small_chains(700):
+        expected = np.zeros(n + 1, dtype=np.int64)
+        for sites in itertools.product(range(q), repeat=n):
+            expected[sum(sites[i] != sites[(i + 1) % n] for i in range(n))] += 1
+        assert np.array_equal(_bond_count_histogram(q, n), expected), (q, n)
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 13), (1414, 2)])
+def test_enumeration_at_the_cap_edge(q, n):
+    assert q**n <= MAX_ENUMERATED_CONFIGS < (q + 1) ** n
+    assert int(_bond_count_histogram(q, n).sum()) == q**n
+    params, state = ModelParams(q, 0.83, -0.41), ThermoState(1.7)
+    assert enumerate_partition(params, state, n) == pytest.approx(
+        partition_function(params, state, n), rel=1e-12
+    )
+
+
+def test_enumeration_uses_no_transfer_matrix_route(monkeypatch):
+    import potts1d.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration called a transfer-matrix route")
+
+    params, state = POINT
+    expected = partition_function(params, state, 9)
+    for name in ("build_matrix", "partition_function"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert enumerate_partition(params, state, 9) == pytest.approx(expected, rel=1e-12)
+
+
+def test_enumeration_near_the_dense_limit_with_odd_chains():
+    # |h + J*beta| close to 300: the weights span e^{+-300 N}, and for odd N
+    # at u > 0 the eigen-sum cancels (q-1) lambda_minor^N against lambda_max^N
+    for u in (299.5, -299.5):
+        for q, n in ((2, 3), (2, 13), (3, 5), (3, 13), (7, 7)):
+            params, state = ModelParams(q, 2.0, u - 2.0 * 1.25), ThermoState(1.25)
+            assert enumerate_partition(params, state, n) == pytest.approx(
+                partition_function(params, state, n), rel=1e-12
+            ), (u, q, n)
 
 
 def test_enumeration_against_config_energy_route():
@@ -215,3 +280,4 @@ def test_three_route_agreement_grid():
                 continue
             report = three_route_report(params, state, n)
             assert report.max_relative_discrepancy < 1e-10
+

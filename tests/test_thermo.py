@@ -305,6 +305,27 @@ def test_fd_verify_antiferromagnetic_point():
     assert report.passed
 
 
+def test_fd_verify_low_temperature_and_small_beta_points():
+    # C at low T, where an absolute T step of 1e-4 was too coarse, and chi at
+    # small beta, where an h step of 1e-4 was too fine against the rounding
+    # of f = -ln(lambda_max)/beta
+    for q, J, h, beta in ((3, -0.09599390645039385, 2.670184529861439, 21.758793554551666),
+                          (46, 0.645, 2.11, 0.00114)):
+        report = fd_verify(ModelParams(q, J, h), ThermoState(beta))
+        assert report.passed, report
+
+
+def test_fd_verify_passes_over_the_sampled_domain():
+    # q 2..64, |J| <= 12, |h| <= 3, beta log-uniform in [1e-3, 30], as in verify
+    rng = np.random.default_rng(2026)
+    for _ in range(3000):
+        q = int(rng.integers(2, 65))
+        J, h = float(rng.uniform(-12, 12)), float(rng.uniform(-3, 3))
+        beta = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        report = fd_verify(ModelParams(q, J, h), ThermoState(beta))
+        assert report.passed, (q, J, h, beta, report)
+
+
 def test_fd_verify_rejects_bad_step():
     with pytest.raises(ValueError):
         fd_verify(*POINT, step=0.0)
