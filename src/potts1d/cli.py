@@ -1,12 +1,14 @@
 """Command-line surface: single-point evaluation, 1D sweeps, 2D surfaces,
 three-route verification runs, and peak reports, emitted as CSV or JSON.
 
-CSV cells use 17-significant-digit scientific notation and line-feed line
-endings, so every double round-trips exactly.  JSON numbers are emitted at
-full precision.  Tables are written in blocks of rows as they are
-formatted, and each column of a block is formatted once per distinct value.
-A JSON config file can mirror any flag; explicit flags take precedence over
-file values.
+CSV cells are '%.16e' % v (17 significant digits) with line-feed line
+endings, so every double round-trips exactly.  JSON text is what json.dumps
+gives, numbers at full precision.  Cells are spelled by numtext, whole
+arrays at a time and byte for byte as Python spells them: a column that
+repeats over the grid once per value along its grid line, the others in
+blocks of 1,024 rows.  Text is written in pieces of 256 rows as it is made,
+so the whole table is never held as text.  A JSON config file can mirror any
+flag; explicit flags take precedence over file values.
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
-import numpy as np
-
 from .model import ModelParams, ThermoState
 from .oracle import three_route_report
 from .sweep import GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
 from .thermo import fd_verify, thermo_point
-
-# Rows per block a table is formatted and written in.  4096 saves little
-# time but leaves a process that also parses the output 2.4 MiB larger.
-BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -45,26 +41,15 @@ class RunConfig:
     observable: str
 
 
-def _csv_cells(values: list) -> list[str]:
-    if isinstance(values[0], int):  # the q column
-        return list(map(str, values))
-    return ("%.16e\n" * len(values) % tuple(values)).split()
+def _rows_text(table: SweepTable, shortest: bool, before: str, between: str, after: str):
+    # Imported here, so that point, verify and peaks, which write no table,
+    # do not load it: a process that compiles from source (no bytecode
+    # cache) spends about 4 ms compiling it.
+    from . import numtext
 
-
-def _json_cells(values: list) -> list[str]:
-    # Exactly as json.dumps spells each number, including non-finite ones.
-    return json.dumps(values)[1:-1].split(", ")
-
-
-def _block_rows(table: SweepTable, cells):
-    """Per block of rows, an iterator over the cell texts of each row.  Each column
-    of a block goes through cells() once per distinct bit pattern (-0.0 is not 0.0)."""
-    for lo in range(0, len(table), BLOCK_ROWS):
-        texts = []
-        for column in table.coords + tuple(table.columns.values()):
-            distinct, inverse = np.unique(column[lo:lo + BLOCK_ROWS].view(np.int64), return_inverse=True)
-            texts.append(np.array(cells(distinct.view(column.dtype).tolist()), dtype=object)[inverse].tolist())
-        yield zip(*texts)
+    columns = table.coords + tuple(table.columns.values())
+    spell = numtext.shortest if shortest else numtext.e16
+    return numtext.rows_text(columns, tuple(g.steps for g in table.axes), spell, before, between, after)
 
 
 def table_columns(table: SweepTable) -> list[str]:
@@ -72,9 +57,10 @@ def table_columns(table: SweepTable) -> list[str]:
 
 
 def table_to_csv(table: SweepTable, out: TextIO) -> None:
+    """Write the header and one row per grid point, cells as '%.16e' % v."""
     out.write(",".join(table_columns(table)) + "\n")
-    for rows in _block_rows(table, _csv_cells):
-        out.write("\n".join(map(",".join, rows)) + "\n")
+    for text in _rows_text(table, False, "", ",", "\n"):
+        out.write(text)
 
 
 def table_to_json(table: SweepTable, out: TextIO) -> None:
@@ -90,10 +76,10 @@ def table_to_json(table: SweepTable, out: TextIO) -> None:
         "columns": table_columns(table),
     }
     out.write(json.dumps({"metadata": meta, "rows": []})[:-2])
-    separator = "["
-    for rows in _block_rows(table, _json_cells):
-        out.write(separator + "], [".join(map(", ".join, rows)) + "]")
-        separator = ", ["
+    pieces = _rows_text(table, True, ", [", ", ", "]")
+    out.write(next(pieces)[2:])  # no separator before the first row
+    for text in pieces:
+        out.write(text)
     out.write("]}")
 
 

@@ -48,6 +48,17 @@ class ModelParams:
             raise ValueError("h must be finite")
 
 
+def require_finite(value, message: str, **inputs):
+    """value, or a ValueError '<message> at name=..., ...' that names the
+    inputs at the first point where value is not finite."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        at = np.broadcast_arrays(value, *inputs.values())[1:]
+        raise ValueError(f"{message} at " + ", ".join(f"{k}={a.flat[i].item()!r}" for k, a in zip(inputs, at)))
+    return value
+
+
 def temperature(beta):
     """T = 1/beta, elementwise over arrays.
 
@@ -58,10 +69,7 @@ def temperature(beta):
     """
     with np.errstate(divide="ignore", over="ignore"):
         T = np.divide(1.0, beta)
-    if np.isinf(T).any():
-        b = float(np.asarray(beta).flat[int(np.argmax(np.isinf(T)))])
-        raise ValueError(f"T = 1/beta overflows at beta={b!r}")
-    return T
+    return require_finite(T, "T = 1/beta overflows", beta=beta)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,13 @@ def config_energy(config: SpinConfig, params: ModelParams, state: ThermoState) -
     agreement = 0.0
     for i, s in enumerate(config.sites):
         agreement += kronecker_interaction(s, config.sites[(i + 1) % n], params.q)
-    return -(params.J + params.h / state.beta) * agreement
+    energy = -(params.J + params.h / state.beta) * agreement
+    if not math.isfinite(energy):  # h / beta overflows at a tiny beta
+        raise ValueError(
+            f"energy -(J + h/beta) * (agreement sum) overflows at J={params.J!r}, "
+            f"h={params.h!r}, beta={state.beta!r}"
+        )
+    return energy
 
 
 def bond_weight(s1: int, s2: int, params: ModelParams, state: ThermoState) -> float:

@@ -99,7 +99,16 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
     Converges to the bulk free energy; for even N the gap is bounded by
     ln(q) / (beta * N) and shrinks geometrically in N.
     """
-    return -partition_function(params, state, N) * state.T / N
+    ln_z = partition_function(params, state, N)
+    f = -ln_z * state.T / N
+    if not math.isfinite(f):  # ln Z_N * T can overflow where f does not
+        f = -(ln_z / N) * state.T
+    if not math.isfinite(f):
+        raise ValueError(
+            f"finite-N free energy -ln(Z_N)/(beta*N) overflows at q={params.q}, "
+            f"J={params.J!r}, h={params.h!r}, beta={state.beta!r}, N={N}"
+        )
+    return f
 
 
 @dataclass(frozen=True)

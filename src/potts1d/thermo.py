@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, ThermoState, temperature
+from .model import ModelParams, ThermoState, require_finite, temperature
 
 # Relative-error tolerances the finite-difference report is judged against
 # (first derivatives, then second derivatives).
@@ -38,6 +38,9 @@ SECOND_DIFFERENCE_FACTOR = 50.0
 # Above this value of 2*(h + J*beta) the dominant log-eigenvalue switches to
 # its large-exponent form; both branches agree to rounding at the threshold.
 LARGE_EXPONENT_THRESHOLD = 40.0
+
+# np.finfo(float).tiny
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 T_TO_ZERO = "T->0"
 T_TO_INF = "T->inf"
@@ -74,11 +77,7 @@ def coupling_exponent(J, h, beta):
     a ValueError names the first point where it leaves double range."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = h + J * beta
-    if not np.isfinite(u).all():
-        i = int(np.argmin(np.isfinite(u)))
-        J, h, beta = (float(a.flat[i]) for a in np.broadcast_arrays(J, h, beta))
-        raise ValueError(f"h + J*beta is not finite at J={J!r}, h={h!r}, beta={beta!r}")
-    return u
+    return require_finite(u, "h + J*beta is not finite", J=J, h=h, beta=beta)
 
 
 def spectrum_core(q, u) -> StableCore:
@@ -110,14 +109,38 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
     J, beta = np.asarray(J, dtype=float), np.asarray(beta, dtype=float)
     temperature(beta)  # f, m and chi scale with T; a beta without one is refused
     core = spectrum_core(q, coupling_exponent(J, h, beta))
+    at = dict(q=q, J=J, h=h, beta=beta)
+    with np.errstate(over="ignore"):
+        f = -core.log_lambda_max / beta  # |ln lambda_max| > 1 can overflow at a tiny beta
     chi = 4.0 * core.r * core.one_minus_r / beta
     return ThermoPoint(
-        f=-core.log_lambda_max / beta,
+        f=require_finite(f, "f = -ln(lambda_max)/beta overflows", **at),
         S=core.log_lambda_max - J * beta * core.two_r_minus_one,
         m=core.two_r_minus_one / beta,
         chi=chi,
-        C=J**2 * beta**3 * chi,  # see heat_capacity
+        C=require_finite(_heat_capacity(q, J, beta, core, chi), "C overflows", **at),
     )
+
+
+def _heat_capacity(q, J, beta, core: StableCore, chi):
+    """C = J^2 beta^3 chi wherever J^2, beta^3 and their product are normal
+    doubles, so that C and chi agree to rounding.  Elsewhere that product is
+    wrong or nan (inf * 0); C is then exp of
+    ln C = 2 ln|J beta| + ln 4r(1-r),  ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|),
+    with t = 2u + ln(q-1), which underflows to its correct value (0 at J = 0)
+    and overflows only where C itself does."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        j2, b3 = J**2, beta**3
+        product = j2 * b3
+        C = product * chi
+        # normal: at least the smallest normal double, and below inf (not nan)
+        direct = (np.minimum(np.minimum(j2, b3), product) >= _SMALLEST_NORMAL) & (product < np.inf)
+    if direct.all():
+        return C
+    t = np.abs(core.x + np.log(q - 1))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_c = 2.0 * (np.log(np.abs(J)) + np.log(beta)) + math.log(4.0) - t - 2.0 * np.log1p(np.exp(-t))
+        return np.where(direct, C, np.exp(log_c))
 
 
 def stable_core(params: ModelParams, state: ThermoState) -> StableCore:
@@ -166,7 +189,8 @@ def heat_capacity(params: ModelParams, state: ThermoState) -> float:
     """Heat capacity per site, J^2 beta^2 * 4 r (1-r); zero exactly when J = 0.
 
     Computed as J^2 beta^3 times the susceptibility so the two functions
-    stay consistent to rounding even where r(1-r) is subnormal.
+    stay consistent to rounding even where r(1-r) is subnormal; where J^2 or
+    beta^3 leaves the normal range, from its logarithm (see _heat_capacity).
     """
     return thermo_point(params, state).C
 

@@ -23,6 +23,10 @@ from .thermo import coupling_exponent, spectrum_core
 # the log-domain paths stay valid for any finite parameters.
 DENSE_EXPONENT_LIMIT = 300.0
 
+# Largest q with a dense q x q matrix: 32 MiB of float64, of which the
+# trace-power route holds a few at a time.
+MAX_DENSE_Q = 2048
+
 
 class ConvergenceError(RuntimeError):
     """Power iteration did not reach the requested tolerance."""
@@ -49,6 +53,10 @@ class TransferMatrix:
         return math.exp(self.log_offdiag)
 
     def to_dense(self) -> np.ndarray:
+        """The q x q matrix; every dense route (power iteration, partial sums,
+        trace powers) starts here, so q is capped before anything is allocated."""
+        if self.q > MAX_DENSE_Q:
+            raise ValueError(f"q = {self.q} exceeds the dense-matrix cap of {MAX_DENSE_Q} states")
         if abs(self.log_offdiag) > DENSE_EXPONENT_LIMIT:
             raise OverflowError(
                 f"|h + J*beta| = {abs(self.log_offdiag):.6g} exceeds "

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -346,3 +347,40 @@ def test_successive_commands_do_not_share_values(capsys):
     config = parse_run_config(["peaks", *model, "--axis", "h", "--min", "-1", "--max", "1",
                                "--steps", "5"])
     assert config.observable == "chi" and config.format == "csv" and config.out is None
+
+
+def test_overflow_at_a_tiny_normal_beta_is_a_domain_error(capsys):
+    # T = 1/beta is finite at beta = 6e-309, but ln(lambda_max) * T is not
+    model = ["--q", "3", "--J", "1", "--h", "0"]
+    grid = ["--axis", "beta", "--min", "6e-309", "--max", "1", "--steps", "2"]
+    f_error = "f = -ln(lambda_max)/beta overflows at q=3, J=1.0, h=0.0, beta=6e-309\n"
+    for argv, error in (
+        (["point", *model, "--beta", "6e-309"], f_error),
+        (["verify", *model, "--beta", "6e-309"],
+         "finite-N free energy -ln(Z_N)/(beta*N) overflows at q=3, J=1.0, h=0.0, beta=6e-309, N=6\n"),
+        (["sweep", *model, *grid], f_error),
+        (["surface", *model[:4], *grid, "--axis2", "h", "--min2", "0", "--max2", "1", "--steps2", "2"], f_error),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == error
+
+
+def test_heat_capacity_where_j_squared_overflows(capsys, tmp_path):
+    # J**2 = inf and chi = 0: C was inf * 0 = nan; the true C underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow and invalid warnings
+        assert main(["point", "--q", "2", "--J", "1e200", "--h", "0", "--beta", "1"]) == 0
+    assert _parse_point_output(capsys.readouterr().out)["C"] == 0.0
+    # h cancels J*beta, so 4r(1-r) = 1 and C = (J*beta)^2 = 1e400
+    assert main(["point", "--q", "2", "--J", "1e200", "--h=-1e200", "--beta", "1"]) == 1
+    assert capsys.readouterr().err == "C overflows at q=2, J=1e+200, h=-1e+200, beta=1.0\n"
+    out = tmp_path / "s.csv"
+    argv = ["surface", "--q", "3", "--h", "0.5", "--axis", "beta", "--min", "0.5", "--max", "2", "--steps", "3",
+            "--axis2", "J", "--min2=-1e200", "--max2", "1e200", "--steps2", "5", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 15
+    assert all(float(row[-1]) == 0.0 for row in rows if abs(float(row[1])) == 1e200)
+    assert not any("nan" in row[-1] for row in rows)

@@ -149,3 +149,10 @@ def test_energy_invariant_under_rotation():
     for k in range(1, len(sites)):
         rotated = sites[k:] + sites[:k]
         assert config_energy(SpinConfig(rotated), params, state) == pytest.approx(e0, rel=1e-14)
+
+
+def test_config_energy_names_its_overflow():
+    # h / beta overflows at a subnormal beta
+    with pytest.raises(ValueError, match=r"energy .* overflows at J=1.0, h=0.5, beta=1e-310"):
+        config_energy(SpinConfig((1, 2, 1)), ModelParams(3, 1, 0.5), ThermoState(1e-310))
+    assert config_energy(SpinConfig((1, 2, 1)), ModelParams(3, 1, 0.0), ThermoState(1e-310)) == -1.0

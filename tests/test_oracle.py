@@ -281,3 +281,10 @@ def test_three_route_agreement_grid():
             report = three_route_report(params, state, n)
             assert report.max_relative_discrepancy < 1e-10
 
+
+def test_finite_n_free_energy_names_its_overflow():
+    with pytest.raises(ValueError, match=r"finite-N free energy .* overflows at q=3, J=1.0, h=0.0, beta=6e-309, N=4"):
+        finite_N_free_energy(ModelParams(3, 1.0, 0.0), ThermoState(6e-309), 4)
+    # ln Z_N * T overflows, but f_N = -ln(Z_N)/N * T does not (ln 2 * T < max)
+    params, state = ModelParams(2, 0.0, 0.0), ThermoState(1e-308)
+    assert finite_N_free_energy(params, state, 4) == pytest.approx(-math.log(2.0) * 1e308, rel=1e-14)

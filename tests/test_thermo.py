@@ -375,3 +375,27 @@ def test_extreme_exponent_point_is_finite():
         assert math.isfinite(v)
     assert pt.chi > 0.0
     assert pt.m == pytest.approx(1.0 / 30.0, rel=1e-14)
+
+
+def test_heat_capacity_off_the_product_path_against_mpmath():
+    # beta**3 underflows while J*beta = 1e30 and u = h + J*beta = 0 (the old
+    # product J**2 * beta**3 * chi gave 0 instead of (J*beta)^2); J**2 is
+    # subnormal; J**2 overflows while beta**3 underflows (the old C was nan)
+    mpmath = pytest.importorskip("mpmath")
+    cases = ((2, 1e150, -(1e150 * 1e-120), 1e-120), (5, 1e-160, 0.3, 2.0), (3, 1e250, 0.5 - 1e250 * 1e-110, 1e-110))
+    for q, J, h, beta in cases:
+        point = thermo_point(ModelParams(q, J, h), ThermoState(beta))
+        with mpmath.workdps(50):
+            u = mpmath.mpf(h) + mpmath.mpf(J * beta)  # the kernel rounds J*beta once
+            a = (q - 1) * mpmath.exp(2 * u)
+            ref = float(4 * (mpmath.mpf(J) * mpmath.mpf(beta)) ** 2 * a / (1 + a) ** 2)
+        assert point.C == pytest.approx(ref, rel=1e-12)
+        assert math.isfinite(point.chi)
+    # J = 0 with beta**3 = inf: the product was 0 * inf = nan
+    assert thermo_point(ModelParams(3, 0.0, 0.5), ThermoState(1e200)).C == 0.0
+
+
+def test_heat_capacity_keeps_the_product_where_its_factors_are_normal():
+    for q, J, h, beta in ((3, 1.0, 0.5, 0.7), (64, -12.0, 3.0, 30.0), (2, 0.0, 1.0, 1e-3), (7, 1e-5, -2.0, 1e-3)):
+        point = thermo_point(ModelParams(q, J, h), ThermoState(beta))
+        assert point.C == J**2 * beta**3 * point.chi

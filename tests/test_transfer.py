@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from potts1d import (
     minor_ratio,
     numeric_dominant_eigenvalue,
     partition_function,
+    trace_power_partition,
 )
 from potts1d.thermo import LARGE_EXPONENT_THRESHOLD
-from potts1d.transfer import DENSE_EXPONENT_LIMIT
+from potts1d.transfer import DENSE_EXPONENT_LIMIT, MAX_DENSE_Q
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))  # h + J*beta = 1.2
 
@@ -270,3 +272,24 @@ def test_partition_function_tiny_coupling_exponent():
 def test_partition_function_validates_n():
     with pytest.raises(ValueError):
         partition_function(POINT[0], POINT[1], 0)
+
+
+def test_dense_routes_cap_q_before_allocating():
+    # at q = 10^5 a dense q x q matrix would take 80 GB
+    for q in (MAX_DENSE_Q + 1, 100_000):
+        params, state = ModelParams(q, 1.0, 0.0), ThermoState(1.0)
+        vector = PartialPartitionVector.uniform(q)
+        routes = (
+            lambda: build_matrix(params, state).to_dense(),
+            lambda: numeric_dominant_eigenvalue(build_matrix(params, state)),
+            lambda: iterate_partial_partition(vector, params, state),
+            lambda: trace_power_partition(params, state, 4),
+        )
+        for route in routes:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"q = {q} exceeds the dense-matrix cap of {MAX_DENSE_Q} states"):
+                    route()
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+            finally:
+                tracemalloc.stop()
