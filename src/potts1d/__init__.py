@@ -1,94 +1,31 @@
 """Exact thermodynamics of a one-dimensional q-state chain whose exchange
-and field terms both couple to nearest-neighbour spin agreement."""
+and field terms both couple to nearest-neighbour spin agreement.
 
-from .model import (
-    ModelParams,
-    SpinConfig,
-    ThermoState,
-    bond_weight,
-    config_energy,
-    kronecker_interaction,
-)
-from .oracle import (
-    OracleReport,
-    enumerate_partition,
-    finite_N_free_energy,
-    three_route_report,
-    trace_power_partition,
-)
-from .sweep import GridSpec, SweepTable, find_peak, q_ordering_check, sweep_1d, sweep_2d
-from .thermo import (
-    FdReport,
-    StableCore,
-    ThermoPoint,
-    asymptotic_entropy_limit,
-    entropy,
-    fd_verify,
-    free_energy,
-    heat_capacity,
-    magnetization,
-    magnetization_zero_point,
-    stable_core,
-    susceptibility,
-    thermo_point,
-)
-from .transfer import (
-    ConvergenceError,
-    EigenSpectrum,
-    PartialPartitionVector,
-    TransferMatrix,
-    build_matrix,
-    closed_form_spectrum,
-    iterate_partial_partition,
-    log_dominant_eigenvalue,
-    minor_ratio,
-    numeric_dominant_eigenvalue,
-    partition_function,
-)
+The package exports the user-facing API; the rest is imported from its
+module (model, transfer, thermo, sweep, oracle, cli)."""
+
+from .model import ModelParams, ThermoState
+from .oracle import three_route_report
+from .sweep import GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
+from .thermo import entropy, fd_verify, free_energy, heat_capacity, magnetization, susceptibility, thermo_point
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams",
     "ThermoState",
-    "SpinConfig",
-    "kronecker_interaction",
-    "config_energy",
-    "bond_weight",
-    "TransferMatrix",
-    "EigenSpectrum",
-    "PartialPartitionVector",
-    "ConvergenceError",
-    "build_matrix",
-    "closed_form_spectrum",
-    "log_dominant_eigenvalue",
-    "minor_ratio",
-    "numeric_dominant_eigenvalue",
-    "iterate_partial_partition",
-    "partition_function",
-    "ThermoPoint",
-    "StableCore",
-    "FdReport",
-    "stable_core",
-    "thermo_point",
-    "free_energy",
-    "entropy",
-    "magnetization",
-    "magnetization_zero_point",
-    "susceptibility",
-    "heat_capacity",
-    "asymptotic_entropy_limit",
-    "fd_verify",
-    "OracleReport",
-    "enumerate_partition",
-    "trace_power_partition",
-    "finite_N_free_energy",
-    "three_route_report",
     "GridSpec",
     "SweepTable",
     "sweep_1d",
     "sweep_2d",
     "find_peak",
-    "q_ordering_check",
+    "thermo_point",
+    "free_energy",
+    "entropy",
+    "magnetization",
+    "susceptibility",
+    "heat_capacity",
+    "fd_verify",
+    "three_route_report",
     "__version__",
 ]

@@ -151,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:
+    """The config file's values as --key=value flags.  Parsed ahead of the
+    explicit flags, each goes through its flag's type and choices, and an
+    explicit flag, parsed later, wins."""
     try:
         with open(args.config) as fh:
             file_values = json.load(fh)
@@ -163,13 +164,13 @@ def _merge_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         parser.error("config file must hold a JSON object")
     # beta and T name the same quantity, so either flag overrides both keys
     thermal_flag_given = args.beta is not None or args.T is not None
+    flags = []
     for key, value in file_values.items():
-        if not hasattr(args, key):
+        if key == "command" or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
-        if key in ("beta", "T") and thermal_flag_given:
-            continue
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if not (key in ("beta", "T") and thermal_flag_given):
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def _resolve_state(args, parser, required: bool) -> ThermoState | None:
@@ -186,15 +187,12 @@ def _resolve_state(args, parser, required: bool) -> ThermoState | None:
 
 def _resolve_params(args, parser, skip: set[str]) -> ModelParams:
     values = {}
-    defaults = {"q": 2, "J": 0.0, "h": 0.0}
-    for name in ("q", "J", "h"):
-        v = getattr(args, name)
-        if v is None:
-            if name in skip:
-                v = defaults[name]  # placeholder, replaced by the sweep axis
-            else:
+    for name, placeholder in (("q", 2), ("J", 0.0), ("h", 0.0)):
+        values[name] = getattr(args, name)
+        if values[name] is None:
+            if name not in skip:
                 parser.error(f"--{name} is required")
-        values[name] = v
+            values[name] = placeholder  # replaced by the sweep axis
     return ModelParams(**values)
 
 
@@ -213,33 +211,19 @@ def _resolve_grid(args, parser, suffix: str = "") -> GridSpec:
 
 def parse_run_config(argv) -> RunConfig:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _merge_config_file(args, parser)
+    if args.config is not None:
+        args = parser.parse_args(argv[:1] + _config_flags(args, parser) + argv[1:])
     command = args.command
 
     grids: tuple[GridSpec, ...] = ()
-    params = None
-    state = None
-    if command == "point":
-        params = _resolve_params(args, parser, skip=set())
-        state = _resolve_state(args, parser, required=True)
-    elif command in ("sweep", "peaks"):
-        grid = _resolve_grid(args, parser)
-        grids = (grid,)
-        swept = {grid.axis} if grid.axis in ("q", "J", "h") else set()
-        params = _resolve_params(args, parser, skip=swept)
-        state = _resolve_state(args, parser, required=grid.axis not in ("beta", "T"))
-    elif command == "surface":
-        gx = _resolve_grid(args, parser)
-        gy = _resolve_grid(args, parser, suffix="2")
-        grids = (gx, gy)
-        swept = {g.axis for g in grids if g.axis in ("q", "J", "h")}
-        params = _resolve_params(args, parser, skip=swept)
-        need_state = not any(g.axis in ("beta", "T") for g in grids)
-        state = _resolve_state(args, parser, required=need_state)
-    elif command == "verify":
-        params = _resolve_params(args, parser, skip=set())
-        state = _resolve_state(args, parser, required=True)
+    if command in ("sweep", "peaks", "surface"):
+        grids = (_resolve_grid(args, parser),)
+    if command == "surface":
+        grids += (_resolve_grid(args, parser, suffix="2"),)
+    params = _resolve_params(args, parser, skip={g.axis for g in grids})
+    state = _resolve_state(args, parser, required=not any(g.axis in ("beta", "T") for g in grids))
 
     def _default(name, fallback):
         value = getattr(args, name, None)

@@ -102,39 +102,29 @@ class SpinConfig:
     sites: tuple[int, ...]
 
     def __post_init__(self):
+        for s in self.sites:
+            if int(s) != s or s < 1:
+                raise ValueError(f"spin {s!r} outside 1..q")
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         if len(self.sites) < 2:
             raise ValueError("a periodic chain needs at least 2 sites")
-        if any(s < 1 for s in self.sites):
-            raise ValueError("spins are 1-based; found a value below 1")
 
     def __len__(self) -> int:
         return len(self.sites)
 
 
-def kronecker_interaction(s1: int, s2: int, q: int | None = None) -> float:
-    """Agreement factor of one bond: -1.0 if the spins match, +1.0 otherwise.
-
-    Spins are 1-based labels.  When q is given the labels are checked
-    against the full range 1..q, otherwise only positivity is enforced.
-    """
-    for s in (s1, s2):
-        if int(s) != s or int(s) < 1 or (q is not None and int(s) > q):
-            hi = q if q is not None else "q"
-            raise ValueError(f"spin {s!r} outside 1..{hi}")
-    return -1.0 if s1 == s2 else 1.0
-
-
 def config_energy(config: SpinConfig, params: ModelParams, state: ThermoState) -> float:
     """Energy of a periodic configuration: -(J + h/beta) times the agreement sum.
 
-    exp(-beta * E) equals the product of bond_weight over all N periodic
-    bonds, which is the identity the enumeration oracle relies on.
+    Each bond adds -1 to the agreement sum when its two spins are equal and
+    +1 when they differ, so exp(-beta * E) is the product over the N bonds
+    of exp((beta*J + h) * (+-1)), which is the identity the enumeration
+    oracle relies on.  Spins must lie in 1..q.
     """
-    n = len(config)
-    agreement = 0.0
-    for i, s in enumerate(config.sites):
-        agreement += kronecker_interaction(s, config.sites[(i + 1) % n], params.q)
+    sites = config.sites
+    if max(sites) > params.q:
+        raise ValueError(f"spin {max(sites)} outside 1..{params.q}")
+    agreement = sum(1.0 if a != b else -1.0 for a, b in zip(sites, sites[1:] + sites[:1]))
     energy = -(params.J + params.h / state.beta) * agreement
     if not math.isfinite(energy):  # h / beta overflows at a tiny beta
         raise ValueError(
@@ -142,12 +132,3 @@ def config_energy(config: SpinConfig, params: ModelParams, state: ThermoState) -
             f"h={params.h!r}, beta={state.beta!r}"
         )
     return energy
-
-
-def bond_weight(s1: int, s2: int, params: ModelParams, state: ThermoState) -> float:
-    """Boltzmann weight of one bond: exp((beta*J + h) * agreement factor).
-
-    Equal spins give exp(-(beta*J + h)), unequal spins exp(+(beta*J + h)).
-    """
-    w = state.beta * params.J + params.h
-    return math.exp(w * kronecker_interaction(s1, s2, params.q))

@@ -1,20 +1,22 @@
 """Deterministic parameter-grid evaluation, peak detection, and the
 free-energy ordering check in the spin-state count.
 
-Grids are linear with inclusive endpoints.  A sweep lays out one column per
-parameter in grid-index order and evaluates the thermodynamic kernel over
-them, so a table built twice from the same inputs is identical.
+Grids are linear with inclusive endpoints and finite points.  A sweep lays
+out one column per parameter in grid-index order and evaluates the
+thermodynamic kernel over them, so a table built twice from the same inputs
+is identical.  Grid points are validated as whole columns: a sweep with an
+invalid point names the first one in grid-index order.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelParams, ThermoState, temperature
+from .model import ModelParams, ThermoState, _as_spin_count, temperature
 from .thermo import coupling_exponent, spectrum_core, thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
@@ -29,17 +31,17 @@ class GridSpec:
     min: float
     max: float
     steps: int
-    scale: str = "linear"
 
     def __post_init__(self):
         if self.axis not in GRID_AXES:
             raise ValueError(f"axis must be one of {GRID_AXES}, got {self.axis!r}")
-        if self.scale != "linear":
-            raise ValueError("only linear grids are supported")
         if not self.steps >= 2:
             raise ValueError("steps must be at least 2")
         if not self.min < self.max:
             raise ValueError("min must be strictly less than max")
+        width = float(self.max) - float(self.min)
+        if not math.isfinite(width):  # linspace would give nan points
+            raise ValueError(f"grid width max - min = {width!r} is not finite")
         if self.axis == "q":
             for p in self.points():
                 if not float(p).is_integer() or p < 2:
@@ -69,40 +71,38 @@ class SweepTable:
         return self.coords[0].size
 
 
-def _apply_axis(params: ModelParams, state: ThermoState | None, axis: str, value: float):
-    try:
-        if axis == "beta":
-            return params, ThermoState(value)
-        if axis == "T":
-            return params, ThermoState.from_temperature(value)
-        if axis == "q":
-            return replace(params, q=int(round(value))), state
-        return replace(params, **{axis: value}), state
-    except ValueError as err:
-        raise ValueError(f"invalid grid point {axis}={value!r}: {err}") from err
+def _axis_values(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The column an axis sets (beta for T, integers for q) and a mask of its
+    valid points.  GridSpec keeps every point finite and every q point an
+    integer >= 2, so only a beta axis or a T axis can hold an invalid point:
+    one whose beta is not positive and finite."""
+    points = grid.points()
+    if grid.axis in ("beta", "T"):
+        with np.errstate(divide="ignore", over="ignore"):
+            beta = 1.0 / points if grid.axis == "T" else points
+        return beta, (beta > 0.0) & (beta < np.inf)
+    values = np.rint(points).astype(np.int64) if grid.axis == "q" else points
+    return values, np.ones(points.size, dtype=bool)
 
 
-def _axis_values(grid: GridSpec) -> np.ndarray | None:
-    """The column an axis sets (beta for T, integers for q); None if a point is invalid."""
-    if grid.axis == "q":
-        return np.rint(grid.points()).astype(np.int64)
-    with np.errstate(divide="ignore", over="ignore"):
-        values = 1.0 / grid.points() if grid.axis == "T" else grid.points()
-    lowest = 0.0 if grid.axis in ("beta", "T") else -np.inf
-    return values if np.all((values > lowest) & (values < np.inf)) else None
+def _invalid_point(grids, valid) -> ValueError:
+    """The error naming the first invalid point in grid-index order; at that
+    point, the first axis in grid order that is invalid there."""
+    ok = functools.reduce(np.logical_and, np.ix_(*valid))
+    index = np.unravel_index(np.argmin(ok), ok.shape)
+    grid, i = next((g, i) for g, v, i in zip(grids, valid, index) if not v[i])
+    value = float(grid.points()[i])
+    # A positive T is invalid only where 1/T overflows.
+    name = "beta" if grid.axis == "T" and value > 0.0 else grid.axis
+    return ValueError(f"invalid grid point {grid.axis}={value!r}: {name} must be positive and finite")
 
 
 def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> SweepTable:
     if base_state is None and not any(g.axis in ("beta", "T") for g in grids):
         raise ValueError("a base ThermoState is required unless beta or T is swept")
-    values = [_axis_values(g) for g in grids]
-    if any(v is None for v in values):
-        # Walk the grid point by point so the scalar constructors name the
-        # first invalid point in grid-index order.
-        for point in itertools.product(*(g.points() for g in grids)):
-            p, s = base_params, base_state
-            for g, v in zip(grids, point):
-                p, s = _apply_axis(p, s, g.axis, float(v))
+    values, valid = zip(*map(_axis_values, grids))
+    if not all(v.all() for v in valid):
+        raise _invalid_point(grids, valid)
 
     base = dict(asdict(base_params), beta=base_state and base_state.beta)
     for g, column in zip(grids, np.meshgrid(*values, indexing="ij")):  # later axes override earlier ones
@@ -145,27 +145,6 @@ def find_peak(table: SweepTable, observable: str) -> tuple[float, float]:
     return float(table.coords[0][i]), float(values[i])
 
 
-def refine_peak(fn, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal callable on [lo, hi]."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
-
-
 def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
     """True iff the free energy strictly decreases along q_list at every beta.
 
@@ -177,11 +156,9 @@ def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
     """
     if beta_grid.axis != "beta":
         raise ValueError("q_ordering_check needs a beta grid")
-    qs = [int(q) for q in q_list]
+    qs = [_as_spin_count(q) for q in q_list]
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_list must be strictly increasing")
-    if any(q < 2 for q in qs):
-        raise ValueError("q values must be at least 2")
     qa, qb = np.array(qs[:-1])[:, None], np.array(qs[1:])[:, None]
     r = spectrum_core(qa, coupling_exponent(J, h, beta_grid.points())).r
     return bool(np.all(np.log1p((qb - qa) * r / (qa - 1)) > 0.0))

@@ -245,7 +245,7 @@ def fd_verify(params: ModelParams, state: ThermoState, step: float = DEFAULT_FD_
     second differences use SECOND_DIFFERENCE_FACTOR times those steps.  The
     step must leave T - step positive.
     """
-    if step <= 0.0:
+    if not step > 0.0:  # nan included
         raise ValueError("step must be positive")
     T, h, beta = state.T, params.h, state.beta
     eps_t1 = step * T

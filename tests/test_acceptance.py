@@ -12,23 +12,25 @@ from potts1d import (
     GridSpec,
     ModelParams,
     ThermoState,
-    build_matrix,
-    closed_form_spectrum,
     entropy,
     fd_verify,
     find_peak,
-    finite_N_free_energy,
     free_energy,
     heat_capacity,
-    magnetization_zero_point,
-    numeric_dominant_eigenvalue,
-    q_ordering_check,
     susceptibility,
     sweep_1d,
     three_route_report,
 )
 from potts1d.cli import main
-from potts1d.sweep import refine_peak
+from potts1d.oracle import (
+    build_matrix,
+    closed_form_spectrum,
+    finite_N_free_energy,
+    numeric_dominant_eigenvalue,
+    refine_peak,
+)
+from potts1d.sweep import q_ordering_check
+from potts1d.thermo import magnetization_zero_point
 
 
 def criterion(label):

@@ -292,6 +292,44 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _run_with_config(tmp_path, argv, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    return main([*argv, "--config", str(cfg)])
+
+
+SWEEP_ARGV = ["sweep", "--q", "3", "--J", "1", "--h", "0", "--axis", "beta", "--min", "1", "--max", "2"]
+
+
+def test_config_file_choice_is_checked(tmp_path, capsys):
+    # a file value outside the flag's choices once wrote JSON and exited 0
+    assert _run_with_config(tmp_path, [*SWEEP_ARGV, "--steps", "2"], {"format": "xml"}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'xml'" in captured.err
+
+
+def test_config_file_value_goes_through_the_flag_type(tmp_path, capsys):
+    # 2.5 once reached GridSpec and raised a bare TypeError
+    assert _run_with_config(tmp_path, SWEEP_ARGV, {"steps": 2.5}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --steps: invalid int value: '2.5'" in captured.err
+
+
+def test_config_file_string_is_converted_as_on_the_command_line(tmp_path, capsys):
+    # "6" once reached the oracle as a string and raised a bare TypeError;
+    # like --n 6, it is now the integer 6
+    argv = ["verify", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"]
+    assert _run_with_config(tmp_path, argv, {"n": "6"}) == 0
+    from_file = capsys.readouterr().out
+    assert main([*argv, "--n", "6"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert "(N=6)" in from_file
+    assert _run_with_config(tmp_path, argv, {"n": "six"}) == 2
+    assert "argument --n: invalid int value: 'six'" in capsys.readouterr().err
+
+
 def test_sweep_stdout_default(capsys):
     rc = main(
         ["sweep", "--q", "2", "--J", "1", "--h", "0", "--axis", "T",

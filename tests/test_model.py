@@ -1,38 +1,42 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from potts1d import (
-    ModelParams,
-    SpinConfig,
-    ThermoState,
-    bond_weight,
-    config_energy,
-    kronecker_interaction,
-)
+from potts1d import ModelParams, ThermoState
+from potts1d.model import SpinConfig, config_energy
+
+UNIT = ThermoState(1.0)
+
+
+def _agreement(sites, q):
+    """The agreement sum of a chain: its energy at J = 1, h = 0, beta = 1 is minus it."""
+    return -config_energy(SpinConfig(sites), ModelParams(q, 1.0, 0.0), UNIT)
 
 
 def test_kronecker_case_split():
-    assert kronecker_interaction(3, 3) == -1.0
-    assert kronecker_interaction(1, 2) == 1.0
+    # both bonds of a 2-site chain join the same pair of spins, so the
+    # agreement sum is twice that pair's factor: -1 if equal, +1 otherwise
+    assert _agreement((3, 3), 3) == -2.0
+    assert _agreement((1, 2), 3) == 2.0
     for q in range(2, 8):
-        assert kronecker_interaction(q, q, q) == -1.0
+        assert _agreement((q, q), q) == -2.0
 
 
 def test_kronecker_symmetry():
-    for s1 in range(1, 6):
-        for s2 in range(1, 6):
-            assert kronecker_interaction(s1, s2) == kronecker_interaction(s2, s1)
+    # reversing a chain swaps the two spins of every bond
+    for sites in itertools.product(range(1, 6), repeat=3):
+        assert _agreement(sites, 5) == _agreement(sites[::-1], 5)
 
 
 def test_kronecker_domain_errors():
-    with pytest.raises(ValueError):
-        kronecker_interaction(0, 1)
-    with pytest.raises(ValueError):
-        kronecker_interaction(1, 4, q=3)
-    with pytest.raises(ValueError):
-        kronecker_interaction(1.5, 2)
+    with pytest.raises(ValueError, match=r"^spin 0 outside 1\.\.q$"):
+        SpinConfig((0, 1))
+    with pytest.raises(ValueError, match=r"^spin 4 outside 1\.\.3$"):
+        config_energy(SpinConfig((1, 4)), ModelParams(3, 1.0, 0.0), UNIT)
+    with pytest.raises(ValueError, match=r"^spin 1\.5 outside 1\.\.q$"):
+        SpinConfig((1.5, 2))
 
 
 def test_params_validation():
@@ -101,18 +105,25 @@ def test_config_energy_rejects_out_of_range_spin():
 
 
 def test_bond_weight_values():
+    # the Boltzmann weight of one bond, from a 2-site chain whose two bonds
+    # join the same pair of spins: exp(-beta E / 2)
     state = ThermoState(0.7)
     params = ModelParams(3, 1.0, 0.5)
-    assert bond_weight(1, 1, ModelParams(3, 0.0, 0.0), state) == 1.0
+
+    def weight(s1, s2, p=params):
+        return math.exp(-state.beta * config_energy(SpinConfig((s1, s2)), p, state) / 2.0)
+
+    assert weight(1, 1, ModelParams(3, 0.0, 0.0)) == 1.0
     # oracle: direct exponentiation of +-(beta J + h) = +-1.2
-    assert bond_weight(1, 2, params, state) == pytest.approx(math.exp(1.2), rel=1e-15)
-    assert bond_weight(2, 2, params, state) == pytest.approx(math.exp(-1.2), rel=1e-15)
-    assert bond_weight(1, 2, params, state) == pytest.approx(3.3201169227365472, rel=1e-15)
-    assert bond_weight(2, 2, params, state) == pytest.approx(0.30119421191220214, rel=1e-15)
+    assert weight(1, 2) == pytest.approx(math.exp(1.2), rel=1e-15)
+    assert weight(2, 2) == pytest.approx(math.exp(-1.2), rel=1e-15)
+    assert weight(1, 2) == pytest.approx(3.3201169227365472, rel=1e-15)
+    assert weight(2, 2) == pytest.approx(0.30119421191220214, rel=1e-15)
 
 
 def test_weight_energy_identity():
-    # exp(-beta E) must equal the product of bond weights on every config
+    # exp(-beta E) must equal the product of the bond weights
+    # exp((beta J + h) * a) on every config, a = -1 for equal spins, +1 otherwise
     rng = np.random.default_rng(7)
     for _ in range(60):
         q = int(rng.integers(2, 6))
@@ -123,7 +134,8 @@ def test_weight_energy_identity():
         config = SpinConfig(sites)
         product = 1.0
         for i in range(n):
-            product *= bond_weight(sites[i], sites[(i + 1) % n], params, state)
+            a = -1.0 if sites[i] == sites[(i + 1) % n] else 1.0
+            product *= math.exp((state.beta * params.J + params.h) * a)
         lhs = math.exp(-state.beta * config_energy(config, params, state))
         assert lhs == pytest.approx(product, rel=1e-12)
 

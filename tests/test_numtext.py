@@ -77,7 +77,7 @@ def _reference_text(table):
         "base": {"q": table.base_params.q, "J": table.base_params.J, "h": table.base_params.h,
                  "beta": None if table.base_state is None else table.base_state.beta},
         "grids": [
-            {"axis": g.axis, "min": g.min, "max": g.max, "steps": g.steps, "scale": g.scale} for g in table.axes
+            {"axis": g.axis, "min": g.min, "max": g.max, "steps": g.steps} for g in table.axes
         ],
         "columns": names,
     }

@@ -4,20 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from potts1d import (
-    ModelParams,
-    SpinConfig,
-    ThermoState,
-    config_energy,
+from potts1d import ModelParams, ThermoState, free_energy, three_route_report
+from potts1d.model import SpinConfig, config_energy
+from potts1d.oracle import (
+    MAX_ENUMERATED_CONFIGS,
+    _bond_count_histogram,
     enumerate_partition,
     finite_N_free_energy,
-    free_energy,
     minor_ratio,
-    partition_function,
-    three_route_report,
     trace_power_partition,
 )
-from potts1d.oracle import MAX_ENUMERATED_CONFIGS, _bond_count_histogram
+from potts1d.transfer import partition_function
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
 
@@ -94,7 +91,7 @@ def test_enumeration_uses_no_transfer_matrix_route(monkeypatch):
 
     params, state = POINT
     expected = partition_function(params, state, 9)
-    for name in ("build_matrix", "partition_function"):
+    for name in ("build_matrix", "closed_form_spectrum", "log_dominant_eigenvalue", "minor_ratio", "partition_function"):
         monkeypatch.setattr(oracle, name, refuse)
     assert enumerate_partition(params, state, 9) == pytest.approx(expected, rel=1e-12)
 

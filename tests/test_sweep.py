@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from potts1d import (
     ModelParams,
     ThermoState,
     find_peak,
-    magnetization_zero_point,
-    q_ordering_check,
     susceptibility,
     sweep_1d,
     sweep_2d,
     thermo_point,
 )
-from potts1d.sweep import refine_peak
+from potts1d.oracle import refine_peak
+from potts1d.sweep import q_ordering_check
+from potts1d.thermo import magnetization_zero_point
 
 
 def test_gridspec_validation():
@@ -25,13 +26,24 @@ def test_gridspec_validation():
         GridSpec("h", 1.0, 0.0, 5)
     with pytest.raises(ValueError):
         GridSpec("h", 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        GridSpec("h", 0.0, 1.0, 5, scale="log")
+    # the grids are linear; there is no scale option to choose another
+    with pytest.raises(TypeError, match="scale"):
+        GridSpec("h", 0.0, 1.0, 5, scale="linear")
     with pytest.raises(ValueError, match="integer"):
         GridSpec("q", 2.0, 3.0, 3)
     with pytest.raises(ValueError, match="integer"):
         GridSpec("q", 1.0, 4.0, 4)
     GridSpec("q", 2.0, 8.0, 7)  # integers 2..8
+
+
+def test_gridspec_rejects_a_width_that_overflows():
+    # linspace over such a range warns and gives nan points
+    for lo, hi in ((-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^grid width max - min = inf is not finite$"):
+                GridSpec("h", lo, hi, 3)
+    GridSpec("h", -1e308, 0.0, 3)
 
 
 def test_grid_endpoints_exact():
@@ -280,3 +292,6 @@ def test_q_ordering_check_vacuous_and_invalid():
         q_ordering_check(grid, h=0.0, J=1.0, q_list=(1, 2))
     with pytest.raises(ValueError, match="beta"):
         q_ordering_check(GridSpec("h", 0.0, 1.0, 3), h=0.0, J=1.0, q_list=(2, 3))
+    # int() once truncated 3.7 to 3 and the check passed
+    with pytest.raises(ValueError, match="q must be an integer, got 3.7"):
+        q_ordering_check(grid, h=0.0, J=1.0, q_list=(2, 3.7, 5))

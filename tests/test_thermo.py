@@ -6,21 +6,18 @@ import pytest
 from potts1d import (
     ModelParams,
     ThermoState,
-    asymptotic_entropy_limit,
-    closed_form_spectrum,
     entropy,
     fd_verify,
     free_energy,
     heat_capacity,
     magnetization,
-    magnetization_zero_point,
-    stable_core,
     susceptibility,
     sweep_1d,
     thermo_point,
 )
+from potts1d.oracle import closed_form_spectrum
 from potts1d.sweep import GridSpec
-from potts1d.thermo import T_TO_INF, T_TO_ZERO
+from potts1d.thermo import T_TO_INF, T_TO_ZERO, asymptotic_entropy_limit, magnetization_zero_point, stable_core
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
 
@@ -277,6 +274,44 @@ def test_asymptotic_entropy_limits():
     )
 
 
+# (q, J, h): both signs of J, |J| up to 12, q from 2 to 64
+LIMIT_POINTS = [(2, 1.0, 0.3), (3, -0.5, 1.2), (16, 12.0, -2.0), (7, -12.0, 0.5), (64, 0.7, -3.0), (5, -3.3, -2.5)]
+
+
+def test_high_temperature_limits_of_all_five_functions():
+    # At beta -> 0 the bond exponent u = h + J beta tends to h.  With
+    # L(u) = ln lambda_max(u), dL/du = 2r - 1 and d(2r - 1)/du, d4r(1-r)/du
+    # are at most 1 in size, so each limit holds to first order in
+    # |J| beta; C = (J beta)^2 4r(1-r) is second order.
+    beta = 1e-8
+    for q, J, h in LIMIT_POINTS:
+        p = thermo_point(ModelParams(q, J, h), ThermoState(beta))
+        tol = abs(J) * beta
+        log_lambda = math.log(math.exp(-h) + (q - 1) * math.exp(h))
+        tanh = math.tanh(h + 0.5 * math.log(q - 1))
+        assert beta * p.f == pytest.approx(-log_lambda, abs=tol), (q, J, h)
+        assert p.S == pytest.approx(log_lambda, abs=2.0 * tol), (q, J, h)
+        assert beta * p.m == pytest.approx(tanh, abs=tol), (q, J, h)
+        assert beta * p.chi == pytest.approx(1.0 - tanh * tanh, abs=tol), (q, J, h)
+        assert 0.0 < p.C <= tol * tol, (q, J, h)
+
+
+def test_low_temperature_limits_of_all_five_functions():
+    # At T -> 0 the chain orders: J > 0 takes the x > 40 branch and J < 0
+    # saturates the sigmoid.  f = -|J| - (h + ln(q-1)) T for J > 0 and
+    # -|J| + h T for J < 0, so f is first order in T; the other limits have
+    # exponentially small corrections, and the tolerance T is far above
+    # the rounding of u = h + J beta (about eps |J| / T).
+    T = 1e-6
+    state = ThermoState.from_temperature(T)
+    for q, J, h in LIMIT_POINTS:
+        p = thermo_point(ModelParams(q, J, h), state)
+        assert p.f == pytest.approx(-abs(J), abs=(abs(h) + math.log(q - 1) + 1.0) * T), (q, J, h)
+        assert p.S == pytest.approx(h + math.log(q - 1) if J > 0.0 else -h, abs=T), (q, J, h)
+        assert state.beta * p.m == pytest.approx(math.copysign(1.0, J), abs=T), (q, J, h)
+        assert 0.0 <= p.chi <= T and 0.0 <= p.C <= T, (q, J, h)
+
+
 def test_asymptotic_entropy_rejects_unknown_direction():
     with pytest.raises(ValueError):
         asymptotic_entropy_limit(ModelParams(3, 1.0, 0.0), "sideways")
@@ -329,6 +364,9 @@ def test_fd_verify_passes_over_the_sampled_domain():
 def test_fd_verify_rejects_bad_step():
     with pytest.raises(ValueError):
         fd_verify(*POINT, step=0.0)
+    # nan once passed the guard and failed later as a T = 1/beta overflow
+    with pytest.raises(ValueError, match="^step must be positive$"):
+        fd_verify(*POINT, step=math.nan)
     with pytest.raises(ValueError, match="domain"):
         fd_verify(ModelParams(3, 1.0, 0.0), ThermoState.from_temperature(1e-6), step=1e-1)
 

@@ -1,26 +1,29 @@
+"""The transfer-matrix method: the log spectrum and ln Z_N of transfer, and
+the dense matrix, value-form spectrum, power iteration and partial sums of
+oracle that check them."""
+
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from potts1d import (
+from potts1d import ModelParams, ThermoState
+from potts1d.oracle import (
+    DENSE_EXPONENT_LIMIT,
+    MAX_DENSE_Q,
     ConvergenceError,
-    ModelParams,
     PartialPartitionVector,
-    ThermoState,
     build_matrix,
     closed_form_spectrum,
     enumerate_partition,
     iterate_partial_partition,
-    log_dominant_eigenvalue,
     minor_ratio,
     numeric_dominant_eigenvalue,
-    partition_function,
     trace_power_partition,
 )
 from potts1d.thermo import LARGE_EXPONENT_THRESHOLD
-from potts1d.transfer import DENSE_EXPONENT_LIMIT, MAX_DENSE_Q
+from potts1d.transfer import log_dominant_eigenvalue, partition_function
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))  # h + J*beta = 1.2
 
