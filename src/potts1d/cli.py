@@ -166,7 +166,7 @@ def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     thermal_flag_given = args.beta is not None or args.T is not None
     flags = []
     for key, value in file_values.items():
-        if key == "command" or not hasattr(args, key):
+        if key in ("command", "config") or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
         if not (key in ("beta", "T") and thermal_flag_given):
             flags.append(f"--{key}={value}")
@@ -257,7 +257,11 @@ def run(config: RunConfig) -> int:
         if config.out is None:
             write(table, sys.stdout)
         else:
-            with open(config.out, "w", newline="\n") as fh:
+            try:
+                fh = open(config.out, "w", newline="\n")
+            except OSError as err:
+                raise ValueError(f"cannot open output file {config.out!r}: {err.strerror}") from err
+            with fh:
                 write(table, fh)
         return 0
 

@@ -17,10 +17,12 @@ import numpy as np
 
 
 def _as_spin_count(q) -> int:
-    qf = float(q)
-    if not qf.is_integer():
+    # q columns are int64; checked before float(q), which overflows at 2**1024.
+    if q > 2**63 - 1:
+        raise ValueError("q must be at most 2**63 - 1")
+    if not float(q).is_integer():
         raise ValueError(f"q must be an integer, got {q!r}")
-    qi = int(qf)
+    qi = int(q)
     if qi < 2:
         raise ValueError("q must be at least 2")
     return qi

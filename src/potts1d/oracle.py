@@ -252,10 +252,11 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
     if N < 2:
         raise ValueError("N must be at least 2")
     q = params.q
-    total = q**N
-    if total > MAX_ENUMERATED_CONFIGS:
+    # q >= 2, so q^N >= 2^N is over the cap once N reaches its bit length,
+    # and q^N, a huge integer at a large N, need not be formed.
+    if N >= MAX_ENUMERATED_CONFIGS.bit_length() or q**N > MAX_ENUMERATED_CONFIGS:
         raise ValueError(
-            f"q^N = {total} exceeds the enumeration cap of "
+            f"q^N at q={q}, N={N} exceeds the enumeration cap of "
             f"{MAX_ENUMERATED_CONFIGS} configurations"
         )
     hist = _bond_count_histogram(q, N)

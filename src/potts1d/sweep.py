@@ -1,16 +1,14 @@
 """Deterministic parameter-grid evaluation, peak detection, and the
 free-energy ordering check in the spin-state count.
 
-Grids are linear with inclusive endpoints and finite points.  A sweep lays
-out one column per parameter in grid-index order and evaluates the
-thermodynamic kernel over them, so a table built twice from the same inputs
-is identical.  Grid points are validated as whole columns: a sweep with an
-invalid point names the first one in grid-index order.
+Grids are linear with inclusive endpoints and finite points, and a GridSpec
+refuses an invalid point when it is built.  A sweep lays out one column per
+parameter in grid-index order and evaluates the thermodynamic kernel over
+them, so a table built twice from the same inputs is identical.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -22,10 +20,17 @@ from .thermo import coupling_exponent, spectrum_core, thermo_arrays
 GRID_AXES = ("beta", "T", "h", "J", "q")
 OBSERVABLES = ("f", "S", "m", "chi", "C")
 
+# The most points one grid or one table may hold, checked before allocating:
+# a sweep and its CSV writer peaked at about 144 bytes per point (0.6 GB).
+MAX_GRID_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A linear grid over one parameter axis, endpoints included."""
+    """A linear grid over one parameter axis, endpoints included, whose
+    points are valid: q an integer in 2..2**63 - 1, beta > 0, T > 0 with a
+    finite 1/T.  Invalid beta or T points are a prefix of the grid, so the
+    error names the first in grid-index order."""
 
     axis: str
     min: float
@@ -35,17 +40,33 @@ class GridSpec:
     def __post_init__(self):
         if self.axis not in GRID_AXES:
             raise ValueError(f"axis must be one of {GRID_AXES}, got {self.axis!r}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError("steps must be an integer >= 2")
         if not self.steps >= 2:
             raise ValueError("steps must be at least 2")
+        if self.steps > MAX_GRID_POINTS:
+            raise ValueError(f"steps = {self.steps} exceeds the grid-point cap of {MAX_GRID_POINTS}")
         if not self.min < self.max:
             raise ValueError("min must be strictly less than max")
         width = float(self.max) - float(self.min)
         if not math.isfinite(width):  # linspace would give nan points
             raise ValueError(f"grid width max - min = {width!r} is not finite")
         if self.axis == "q":
-            for p in self.points():
-                if not float(p).is_integer() or p < 2:
-                    raise ValueError(f"q grid point {p!r} is not an integer >= 2")
+            points = self.points()
+            bad = (points != np.rint(points)) | (points < 2.0) | (points >= 2.0**63)
+            if bad.any():
+                p = float(points[np.argmax(bad)])
+                raise ValueError(f"q grid point {p!r} " + ("exceeds 2**63 - 1" if p >= 2.0**63 else "is not an integer >= 2"))
+        if self.axis in ("beta", "T"):
+            points = self.points()
+            with np.errstate(divide="ignore", over="ignore"):
+                beta = 1.0 / points if self.axis == "T" else points
+            bad = ~((beta > 0.0) & (beta < np.inf))
+            if bad.any():
+                p = float(points[np.argmax(bad)])
+                # A positive T is invalid only where 1/T overflows.
+                name = "beta" if self.axis == "T" and p > 0.0 else self.axis
+                raise ValueError(f"invalid grid point {self.axis}={p!r}: {name} must be positive and finite")
 
     def points(self) -> np.ndarray:
         # linspace keeps both endpoints exact.
@@ -71,43 +92,24 @@ class SweepTable:
         return self.coords[0].size
 
 
-def _axis_values(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The column an axis sets (beta for T, integers for q) and a mask of its
-    valid points.  GridSpec keeps every point finite and every q point an
-    integer >= 2, so only a beta axis or a T axis can hold an invalid point:
-    one whose beta is not positive and finite."""
+def _axis_values(grid: GridSpec) -> np.ndarray:
+    """The column an axis sets: beta for T, int64 for q, else its points."""
     points = grid.points()
-    if grid.axis in ("beta", "T"):
-        with np.errstate(divide="ignore", over="ignore"):
-            beta = 1.0 / points if grid.axis == "T" else points
-        return beta, (beta > 0.0) & (beta < np.inf)
-    values = np.rint(points).astype(np.int64) if grid.axis == "q" else points
-    return values, np.ones(points.size, dtype=bool)
-
-
-def _invalid_point(grids, valid) -> ValueError:
-    """The error naming the first invalid point in grid-index order; at that
-    point, the first axis in grid order that is invalid there."""
-    ok = functools.reduce(np.logical_and, np.ix_(*valid))
-    index = np.unravel_index(np.argmin(ok), ok.shape)
-    grid, i = next((g, i) for g, v, i in zip(grids, valid, index) if not v[i])
-    value = float(grid.points()[i])
-    # A positive T is invalid only where 1/T overflows.
-    name = "beta" if grid.axis == "T" and value > 0.0 else grid.axis
-    return ValueError(f"invalid grid point {grid.axis}={value!r}: {name} must be positive and finite")
+    if grid.axis == "T":
+        return 1.0 / points
+    return np.rint(points).astype(np.int64) if grid.axis == "q" else points
 
 
 def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> SweepTable:
     if base_state is None and not any(g.axis in ("beta", "T") for g in grids):
         raise ValueError("a base ThermoState is required unless beta or T is swept")
-    values, valid = zip(*map(_axis_values, grids))
-    if not all(v.all() for v in valid):
-        raise _invalid_point(grids, valid)
+    n = math.prod(g.steps for g in grids)
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"the grid has {n} points, more than the grid-point cap of {MAX_GRID_POINTS}")
 
     base = dict(asdict(base_params), beta=base_state and base_state.beta)
-    for g, column in zip(grids, np.meshgrid(*values, indexing="ij")):  # later axes override earlier ones
+    for g, column in zip(grids, np.meshgrid(*map(_axis_values, grids), indexing="ij")):  # later axes override earlier ones
         base["beta" if g.axis == "T" else g.axis] = column.ravel()
-    n = math.prod(g.steps for g in grids)
     beta, h, J, q = (np.broadcast_to(base[name], n) for name in ("beta", "h", "J", "q"))
     columns = dict(beta=beta, T=temperature(beta), h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
     coords = tuple(c.ravel() for c in np.meshgrid(*(g.points() for g in grids), indexing="ij"))

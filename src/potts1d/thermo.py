@@ -25,9 +25,9 @@ from .model import ModelParams, ThermoState, require_finite, temperature
 FIRST_DERIVATIVE_TOL = 1e-6
 SECOND_DERIVATIVE_TOL = 1e-5
 
-# Default first-derivative step scale; second differences use
+# First-derivative step scale; second differences use
 # SECOND_DIFFERENCE_FACTOR times this.
-DEFAULT_FD_STEP = 1e-5
+FD_STEP = 1e-5
 
 # The second-difference step balances truncation, which grows with the step,
 # against rounding in f, which grows as 1/step^2.  At 50 (5e-4) neither C nor
@@ -41,9 +41,6 @@ LARGE_EXPONENT_THRESHOLD = 40.0
 
 # np.finfo(float).tiny
 _SMALLEST_NORMAL = 2.2250738585072014e-308
-
-T_TO_ZERO = "T->0"
-T_TO_INF = "T->inf"
 
 
 class StableCore(NamedTuple):
@@ -143,11 +140,6 @@ def _heat_capacity(q, J, beta, core: StableCore, chi):
         return np.where(direct, C, np.exp(log_c))
 
 
-def stable_core(params: ModelParams, state: ThermoState) -> StableCore:
-    u = coupling_exponent(params.J, params.h, state.beta)
-    return StableCore(*map(float, spectrum_core(params.q, u)))
-
-
 def thermo_point(params: ModelParams, state: ThermoState) -> ThermoPoint:
     """All five thermodynamic functions from one shared core evaluation."""
     return ThermoPoint(*map(float, thermo_arrays(params.q, params.J, params.h, state.beta)))
@@ -195,20 +187,6 @@ def heat_capacity(params: ModelParams, state: ThermoState) -> float:
     return thermo_point(params, state).C
 
 
-def asymptotic_entropy_limit(params: ModelParams, direction: str) -> float:
-    """Entropy limit for T -> 0 or T -> infinity.
-
-    T -> 0 gives h + ln(q-1) for J > 0 and -h for J < 0; with J = 0 the
-    entropy is temperature independent and the T -> infinity value is
-    returned.  T -> infinity gives log[(1 + (q-1) e^{2h}) / e^h].
-    """
-    if direction not in (T_TO_ZERO, T_TO_INF):
-        raise ValueError(f"unknown direction {direction!r}")
-    if direction == T_TO_INF or params.J == 0.0:
-        return float(spectrum_core(params.q, params.h).log_lambda_max)
-    return params.h + math.log(params.q - 1) if params.J > 0.0 else -params.h
-
-
 @dataclass(frozen=True)
 class FdReport:
     """Relative errors of the four closed-form derivatives versus central
@@ -237,36 +215,31 @@ def _rel_error(closed: float, approx: float) -> float:
     return abs(closed - approx) / max(abs(closed), abs(approx), 1.0)
 
 
-def fd_verify(params: ModelParams, state: ThermoState, step: float = DEFAULT_FD_STEP) -> FdReport:
+def fd_verify(params: ModelParams, state: ThermoState) -> FdReport:
     """Check S, m, chi and C against finite differences of the free energy.
 
-    Central steps are step*T in T, since f varies on the scale of T itself
-    (an absolute step is too coarse at low T), and step*max(1, |h|) in h;
-    second differences use SECOND_DIFFERENCE_FACTOR times those steps.  The
-    step must leave T - step positive.
+    Central steps are FD_STEP*T in T, since f varies on the scale of T itself
+    (an absolute step is too coarse at low T), and FD_STEP*max(1, |h|) in h;
+    second differences use SECOND_DIFFERENCE_FACTOR times those steps.
     """
-    if not step > 0.0:  # nan included
-        raise ValueError("step must be positive")
     T, h, beta = state.T, params.h, state.beta
-    eps_t1 = step * T
+    eps_t1 = FD_STEP * T
     eps_t2 = SECOND_DIFFERENCE_FACTOR * eps_t1
-    eps_h1 = step * max(1.0, abs(h))
+    eps_h1 = FD_STEP * max(1.0, abs(h))
     eps_h2 = SECOND_DIFFERENCE_FACTOR * eps_h1
-    if T - eps_t2 <= 0.0:
-        raise ValueError("step too large: T - step leaves the valid domain")
 
     # One kernel call for the free energy at the point, at T +- eps_t1 and
     # T +- eps_t2 (h fixed), and at h +- eps_h1 and h +- eps_h2 (beta fixed).
     hs = np.array([h] * 5 + [h + eps_h1, h - eps_h1, h + eps_h2, h - eps_h2])
     betas = np.array([beta] + [1.0 / t for t in (T + eps_t1, T - eps_t1, T + eps_t2, T - eps_t2)] + [beta] * 4)
-    f0, t1p, t1m, t2p, t2m, h1p, h1m, h2p, h2m = thermo_arrays(params.q, params.J, hs, betas).f.tolist()
+    f, *closed = thermo_arrays(params.q, params.J, hs, betas)  # closed: S, m, chi, C, at the point at index 0
+    f0, t1p, t1m, t2p, t2m, h1p, h1m, h2p, h2m = f.tolist()
 
     s_fd = -(t1p - t1m) / (2.0 * eps_t1)
     m_fd = -(h1p - h1m) / (2.0 * eps_h1)
     chi_fd = -(h2p - 2.0 * f0 + h2m) / (eps_h2 * eps_h2)
     c_fd = -T * (t2p - 2.0 * f0 + t2m) / (eps_t2 * eps_t2)
 
-    closed = thermo_point(params, state)
-    errors = [_rel_error(*pair) for pair in zip(closed[1:], (s_fd, m_fd, chi_fd, c_fd))]  # S, m, chi, C
+    errors = [_rel_error(float(c[0]), fd) for c, fd in zip(closed, (s_fd, m_fd, chi_fd, c_fd))]
     tolerances = (FIRST_DERIVATIVE_TOL,) * 2 + (SECOND_DERIVATIVE_TOL,) * 2
     return FdReport(*errors, passed=all(e <= tol for e, tol in zip(errors, tolerances)))

@@ -2,7 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,27 @@ def test_point_domain_error_exit_code(capsys):
     rc = main(["point", "--q", "1", "--J", "1", "--h", "0", "--beta", "1"])
     assert rc == 1
     assert "q must be at least 2" in capsys.readouterr().err
+
+
+def test_out_of_range_inputs_are_domain_errors(tmp_path, capsys):
+    # each once ended in a traceback (TypeError, numpy's _ArrayMemoryError,
+    # FileNotFoundError) or wrote q = -9223372036854775808 with exit 0
+    sweep = ["sweep", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--axis", "h", "--min", "0", "--max", "1"]
+    cases = [
+        (["point", "--q", "100000000000000000000", "--J", "1", "--h", "0", "--beta", "1"],
+         "q must be at most 2**63 - 1"),
+        ([*sweep, "--steps", "1000000000000000"], "steps = 1000000000000000 exceeds the grid-point cap of 4194304"),
+        (["sweep", "--J", "1", "--h", "0", "--beta", "1", "--axis", "q", "--min", "2", "--max", "1e20", "--steps", "2"],
+         "q grid point 1e+20 exceeds 2**63 - 1"),
+        (["verify", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--n", "10000"],
+         "q^N at q=3, N=10000 exceeds the enumeration cap of 2000000 configurations"),
+        ([*sweep, "--steps", "3", "--out", str(tmp_path / "missing" / "out.csv")],
+         f"cannot open output file {str(tmp_path / 'missing' / 'out.csv')!r}: No such file or directory"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -289,7 +313,10 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"quux": 1}))
     assert main(["point", "--config", str(bad)]) == 2
     assert main(["point", "--config", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
+    # a "config" key was once accepted and ignored
+    bad.write_text(json.dumps({"config": str(bad)}))
+    assert main(["point", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--config", str(bad)]) == 2
+    assert "unknown config key 'config'" in capsys.readouterr().err
 
 
 def _run_with_config(tmp_path, argv, values):
@@ -422,3 +449,15 @@ def test_heat_capacity_where_j_squared_overflows(capsys, tmp_path):
     assert len(rows) == 15
     assert all(float(row[-1]) == 0.0 for row in rows if abs(float(row[1])) == 1e200)
     assert not any("nan" in row[-1] for row in rows)
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every potts1d line of the README's shell blocks, continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    commands = [c for c in "\n".join(blocks).replace("\\\n", " ").splitlines() if c.startswith("potts1d ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+    capsys.readouterr()

@@ -51,6 +51,12 @@ def test_params_validation():
     # J = 0 and h = 0 are allowed, and integral floats normalize to int
     p = ModelParams(3.0, 0.0, 0.0)
     assert p.q == 3 and isinstance(p.q, int)
+    # q columns are int64; q is refused by name before float(q), which
+    # raised a bare OverflowError at 2**1024, and 2**63 - 1 is kept exactly
+    for q in (2**63, 10**20, 2**1024, 1e300, math.inf):
+        with pytest.raises(ValueError, match=r"^q must be at most 2\*\*63 - 1$"):
+            ModelParams(q, 0.0, 0.0)
+    assert ModelParams(2**63 - 1, 0.0, 0.0).q == 2**63 - 1
 
 
 def test_state_validation():

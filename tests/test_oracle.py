@@ -130,6 +130,11 @@ def test_enumeration_cap():
     with pytest.raises(ValueError, match="2000000"):
         enumerate_partition(ModelParams(3, 1.0, 0.0), ThermoState(1.0), 14)
     assert 3**14 > MAX_ENUMERATED_CONFIGS
+    # q**N once went into the message: past 4,300 digits its text conversion
+    # raised, and at a large N forming it took longer than any enumeration
+    for q, N in ((3, 10**4), (2, 21), (2**63 - 1, 10**9)):
+        with pytest.raises(ValueError, match=rf"^q\^N at q={q}, N={N} exceeds the enumeration cap of 2000000 "):
+            enumerate_partition(ModelParams(q, 1.0, 0.0), ThermoState(1.0), N)
 
 
 def test_enumeration_needs_two_sites():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from potts1d import (
     thermo_point,
 )
 from potts1d.oracle import refine_peak
-from potts1d.sweep import q_ordering_check
+from potts1d.sweep import GRID_AXES, MAX_GRID_POINTS, q_ordering_check
 from potts1d.thermo import magnetization_zero_point
 
 
@@ -29,11 +30,35 @@ def test_gridspec_validation():
     # the grids are linear; there is no scale option to choose another
     with pytest.raises(TypeError, match="scale"):
         GridSpec("h", 0.0, 1.0, 5, scale="linear")
-    with pytest.raises(ValueError, match="integer"):
+    # a float step count once constructed and failed in the sweep as a bare TypeError
+    for steps in (2.5, 3.0):
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 2$"):
+            GridSpec("h", 0.0, 1.0, steps)
+    with pytest.raises(ValueError, match=r"^q grid point 2.5 is not an integer >= 2$"):
         GridSpec("q", 2.0, 3.0, 3)
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match=r"^q grid point 1.0 is not an integer >= 2$"):
         GridSpec("q", 1.0, 4.0, 4)
     GridSpec("q", 2.0, 8.0, 7)  # integers 2..8
+    # q columns are int64: 1e20 once wrapped to -9223372036854775808
+    for hi in (2.0**63, 1e20):
+        with pytest.raises(ValueError, match=r"^q grid point .* exceeds 2\*\*63 - 1$"):
+            GridSpec("q", 2.0, hi, 2)
+    assert GridSpec("q", 2.0, 2.0**63 - 1024, 2).points()[-1] == 2.0**63 - 1024
+
+
+def test_grid_point_cap_is_checked_before_allocating():
+    x, y = GridSpec("h", -1.0, 1.0, 2), GridSpec("J", -1.0, 1.0, MAX_GRID_POINTS // 2 + 1)
+    tracemalloc.start()
+    try:
+        for axis in GRID_AXES:
+            with pytest.raises(ValueError, match=rf"^steps = {MAX_GRID_POINTS + 1} exceeds the grid-point cap"):
+                GridSpec(axis, 2.0, 3.0, MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match=rf"^the grid has {MAX_GRID_POINTS + 2} points, more than"):
+            sweep_2d(ModelParams(3, 1.0, 0.0), ThermoState(1.0), x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gridspec_rejects_a_width_that_overflows():
@@ -75,6 +100,9 @@ def test_sweep_invalid_grid_point_names_coordinate():
     params = ModelParams(3, 1.0, 0.0)
     with pytest.raises(ValueError, match="beta=-1.0"):
         sweep_1d(params, None, GridSpec("beta", -1.0, 1.0, 3))
+    # the spec itself refuses the point, before any sweep
+    with pytest.raises(ValueError, match=r"^invalid grid point beta=0.0: beta must be positive and finite$"):
+        GridSpec("beta", 0.0, 1.0, 3)
     with pytest.raises(ValueError, match=r"^invalid grid point T=0.0: T must be positive and finite$"):
         sweep_1d(params, None, GridSpec("T", 0.0, 1.0, 3))
     # 1/T overflows for a subnormal T

@@ -17,7 +17,7 @@ from potts1d import (
 )
 from potts1d.oracle import closed_form_spectrum
 from potts1d.sweep import GridSpec
-from potts1d.thermo import T_TO_INF, T_TO_ZERO, asymptotic_entropy_limit, magnetization_zero_point, stable_core
+from potts1d.thermo import coupling_exponent, magnetization_zero_point, spectrum_core
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
 
@@ -44,7 +44,8 @@ def _random_points(seed, count, q_hi=12):
 
 
 def test_stable_core_shape():
-    core = stable_core(*POINT)
+    params, state = POINT
+    core = spectrum_core(params.q, coupling_exponent(params.J, params.h, state.beta))
     assert core.x == pytest.approx(2.4, rel=1e-15)
     assert 0.0 < core.r < 1.0
     assert core.r == pytest.approx(0.9566091862622205, rel=1e-14)
@@ -56,7 +57,7 @@ def test_stable_core_midpoint():
     # r = 1/2 exactly when x = -ln(q-1)
     for q in (2, 3, 5, 17):
         h = -0.5 * math.log(q - 1)
-        core = stable_core(ModelParams(q, 0.0, h), ThermoState(1.0))
+        core = spectrum_core(q, coupling_exponent(0.0, h, 1.0))
         assert core.r == pytest.approx(0.5, abs=1e-15)
 
 
@@ -203,7 +204,7 @@ def test_heat_capacity_values():
 def test_heat_capacity_matches_direct_formula():
     # J^2 beta^3 chi equals 4 J^2 beta^2 r (1 - r) wherever both are normal
     for params, state in _random_points(43, 30):
-        core = stable_core(params, state)
+        core = spectrum_core(params.q, coupling_exponent(params.J, params.h, state.beta))
         direct = 4.0 * params.J**2 * state.beta**2 * core.r * core.one_minus_r
         assert heat_capacity(params, state) == pytest.approx(direct, rel=1e-13, abs=1e-300)
 
@@ -247,35 +248,17 @@ def test_entropy_beta_derivative_identity():
         assert s == pytest.approx(beta * beta * fd, rel=1e-5, abs=1e-8)
 
 
-def test_asymptotic_entropy_limits():
-    # ferromagnetic: h + ln(q-1)
-    p = ModelParams(7, 5.3, -3.0)
-    lim = asymptotic_entropy_limit(p, T_TO_ZERO)
-    assert lim == pytest.approx(-3.0 + math.log(6.0), rel=1e-14)
-    assert entropy(p, ThermoState.from_temperature(1e-4)) == pytest.approx(lim, abs=1e-3)
-
-    # antiferromagnetic: -h  (h = 2 gives -2)
-    p = ModelParams(17, -5.3, 2.0)
-    lim = asymptotic_entropy_limit(p, T_TO_ZERO)
-    assert lim == -2.0
-    assert entropy(p, ThermoState.from_temperature(1e-4)) == pytest.approx(lim, abs=1e-3)
-
-    # J = 0: temperature independent, T->0 returns the T->inf expression
-    p = ModelParams(6, 0.0, 0.0)
-    assert asymptotic_entropy_limit(p, T_TO_ZERO) == pytest.approx(math.log(6.0), rel=1e-14)
-    assert asymptotic_entropy_limit(p, T_TO_INF) == pytest.approx(math.log(6.0), rel=1e-14)
-
-    # T->inf limit against the closed form at T = 1e6
-    for p in (ModelParams(3, 1.0, 0.5), ModelParams(9, -2.0, -1.0)):
-        lim = asymptotic_entropy_limit(p, T_TO_INF)
-        assert entropy(p, ThermoState.from_temperature(1e6)) == pytest.approx(lim, abs=1e-3)
-    assert asymptotic_entropy_limit(ModelParams(3, 1.0, 0.5), T_TO_INF) == pytest.approx(
-        1.361994804058251, rel=1e-14
-    )
-
-
 # (q, J, h): both signs of J, |J| up to 12, q from 2 to 64
 LIMIT_POINTS = [(2, 1.0, 0.3), (3, -0.5, 1.2), (16, 12.0, -2.0), (7, -12.0, 0.5), (64, 0.7, -3.0), (5, -3.3, -2.5)]
+
+# (q, h, ln lambda_max(h)): with J = 0 the entropy is ln lambda_max(h) at
+# every temperature, so it is also the limit at both ends
+J_ZERO_ENTROPY = [(6, 0.0, math.log(6.0)), (3, 0.5, 1.361994804058251)]
+
+
+def _assert_j_zero_entropy(state):
+    for q, h, log_lambda in J_ZERO_ENTROPY:
+        assert entropy(ModelParams(q, 0.0, h), state) == pytest.approx(log_lambda, rel=1e-14), (q, h)
 
 
 def test_high_temperature_limits_of_all_five_functions():
@@ -294,6 +277,7 @@ def test_high_temperature_limits_of_all_five_functions():
         assert beta * p.m == pytest.approx(tanh, abs=tol), (q, J, h)
         assert beta * p.chi == pytest.approx(1.0 - tanh * tanh, abs=tol), (q, J, h)
         assert 0.0 < p.C <= tol * tol, (q, J, h)
+    _assert_j_zero_entropy(ThermoState(beta))
 
 
 def test_low_temperature_limits_of_all_five_functions():
@@ -310,15 +294,11 @@ def test_low_temperature_limits_of_all_five_functions():
         assert p.S == pytest.approx(h + math.log(q - 1) if J > 0.0 else -h, abs=T), (q, J, h)
         assert state.beta * p.m == pytest.approx(math.copysign(1.0, J), abs=T), (q, J, h)
         assert 0.0 <= p.chi <= T and 0.0 <= p.C <= T, (q, J, h)
-
-
-def test_asymptotic_entropy_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        asymptotic_entropy_limit(ModelParams(3, 1.0, 0.0), "sideways")
+    _assert_j_zero_entropy(state)
 
 
 def test_fd_verify_reference_point():
-    report = fd_verify(*POINT, step=1e-5)
+    report = fd_verify(*POINT)
     assert report.passed
     for err in report.errors().values():
         assert err < 1e-5
@@ -359,16 +339,6 @@ def test_fd_verify_passes_over_the_sampled_domain():
         beta = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
         report = fd_verify(ModelParams(q, J, h), ThermoState(beta))
         assert report.passed, (q, J, h, beta, report)
-
-
-def test_fd_verify_rejects_bad_step():
-    with pytest.raises(ValueError):
-        fd_verify(*POINT, step=0.0)
-    # nan once passed the guard and failed later as a T = 1/beta overflow
-    with pytest.raises(ValueError, match="^step must be positive$"):
-        fd_verify(*POINT, step=math.nan)
-    with pytest.raises(ValueError, match="domain"):
-        fd_verify(ModelParams(3, 1.0, 0.0), ThermoState.from_temperature(1e-6), step=1e-1)
 
 
 def test_derivative_chain_on_random_grid():
