@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import TextIO
@@ -229,6 +231,9 @@ def parse_run_config(argv) -> RunConfig:
         value = getattr(args, name, None)
         return fallback if value is None else value
 
+    tolerance = _default("tolerance", 1e-10)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     return RunConfig(
         command=command,
         params=params,
@@ -237,7 +242,7 @@ def parse_run_config(argv) -> RunConfig:
         out=getattr(args, "out", None),
         format=_default("format", "csv"),
         n=_default("n", 6),
-        tolerance=_default("tolerance", 1e-10),
+        tolerance=tolerance,
         observable=_default("observable", "chi"),
     )
 
@@ -261,8 +266,11 @@ def run(config: RunConfig) -> int:
                 fh = open(config.out, "w", newline="\n")
             except OSError as err:
                 raise ValueError(f"cannot open output file {config.out!r}: {err.strerror}") from err
-            with fh:
-                write(table, fh)
+            try:
+                with fh:
+                    write(table, fh)
+            except OSError as err:
+                raise ValueError(f"cannot write output file {config.out!r}: {err.strerror}") from err
         return 0
 
     if config.command == "peaks":
@@ -291,12 +299,24 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         config = parse_run_config(argv)
-        return run(config)
+        status = run(config)
+        sys.stdout.flush()  # a failed write shows here, not at interpreter exit
+        return status
     except SystemExit as err:
         # argparse uses exit status 2 for usage errors
         return int(err.code) if err.code is not None else 0
     except (ValueError, OverflowError) as err:
         print(str(err), file=sys.stderr)
+        return 1
+    except OSError as err:
+        # Only stdout is written unguarded: its reader has gone or its device
+        # is full.  Point it at devnull, so that the interpreter's last flush
+        # of what is still buffered cannot fail as well.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(err, BrokenPipeError):
+            print(f"cannot write standard output: {err.strerror}", file=sys.stderr)
         return 1
 
 

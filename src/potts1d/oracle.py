@@ -7,10 +7,12 @@ partial-partition recursion and trace powers work on its dense form;
 closed_form_spectrum and minor_ratio give the two eigenvalues in value
 form, which overflow where the log forms in transfer do not, for those
 routes to be compared against.  The numeric routes never share arithmetic
-with the closed forms they check.  Enumeration gives each of the q^N
-periodic chains its own count of unequal bonds, built one site at a time so
-that chains sharing a prefix share the work, and then weights the exact
-histogram of those counts.
+with the closed forms they check.  Enumeration gives each periodic chain
+its own count of unequal bonds, built one site at a time so that chains
+sharing a prefix share the work, and then weights the exact histogram of
+those counts.  Relabelling the spins keeps every bond equal or unequal, so
+only the q^(N-1) chains whose first spin is 0 are visited, one byte each,
+and their histogram is scaled by q to cover all q^N.
 """
 
 from __future__ import annotations
@@ -223,31 +225,37 @@ def _bond_count_histogram(q: int, N: int) -> np.ndarray:
     """Exact number of periodic q-state chains of N sites with k unequal
     bonds, for k = 0..N; the entries sum to q^N.
 
+    Relabelling the spins keeps every bond equal or unequal, so each of the
+    q first spins heads the same histogram: the chains with the first spin
+    fixed at 0, q^(N-1) of them, are counted and the result is scaled by q.
     The count of every chain is held as one uint8 (k <= N <= 20 under the
-    cap), so the working memory stays at about q^N bytes.
+    cap), so the working memory stays at about q^(N-1) bytes.
     """
     ne = np.not_equal.outer(np.arange(q), np.arange(q)).view(np.uint8)
-    # cnt[last spin, earlier spins]: the first spin is the fastest index.
-    cnt = np.zeros((q, 1), dtype=np.uint8)
-    for _ in range(N - 1):
+    # cnt[last spin, earlier spins after the first]: the first spin is 0, and
+    # the bond (first, second) starts the count.
+    cnt = ne[:, :1]
+    for _ in range(N - 2):
         # The new spin goes on the slow axis, so numpy's inner loops run
         # over the long run of earlier chains.
         cnt = (ne[:, :, None] + cnt[None, :, :]).reshape(q, -1)
-    cnt.reshape(q, -1, q)[...] += ne[:, None, :]  # the periodic bond (last, first)
+    cnt = cnt + ne[:, :1]  # the periodic bond (last, first), broadcast along each row
     flat = cnt.ravel()
     hist = np.zeros(N + 1, dtype=np.int64)
     for start in range(0, flat.size, _CHUNK):
         hist += np.bincount(flat[start:start + _CHUNK], minlength=N + 1)
-    return hist
+    return q * hist
 
 
 def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> float:
     """log of the sum of exp(-beta * energy) over all q^N periodic chains.
 
-    Every chain is visited through its unequal-bond count k, and its weight
+    Every chain counts through its unequal-bond count k, and its weight
     exp(w * (2k - N)), w = beta*J + h, depends on nothing else; the sum is
     a log-sum-exp over the at most N + 1 occupied levels, so neither the
-    weights nor the total can overflow.
+    weights nor the total can overflow.  The histogram of k comes from the
+    q^(N-1) chains with the first spin fixed, times q (the spin-relabelling
+    symmetry), in about q^(N-1) bytes; the cap still bounds q^N.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -321,6 +329,8 @@ class OracleReport:
 
 def three_route_report(params: ModelParams, state: ThermoState, N: int) -> OracleReport:
     """Compare enumeration, trace-power and eigen-sum log partition values."""
+    if N < 2:  # enumeration's bound, checked before any route runs
+        raise ValueError("N must be at least 2")
     ln_eigen = partition_function(params, state, N)  # first: it rejects h + J*beta overflow
     ln_enum = enumerate_partition(params, state, N)
     ln_trace = trace_power_partition(params, state, N)

@@ -2,14 +2,18 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import potts1d
 from potts1d import ModelParams, ThermoState, thermo_point
 from potts1d.cli import main, parse_run_config, run, table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
@@ -259,6 +263,77 @@ def test_verify_command_pass_and_fail(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "verify: FAIL" in out
+
+
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys):
+    # nan and -1 once printed "verify: FAIL" with no reason, and inf always passed
+    argv = ["verify", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7", "--n", "4"]
+    for value, shown in (("nan", "nan"), ("-1", "-1.0"), ("inf", "inf")):
+        assert main([*argv, "--tolerance", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tolerance must be finite and >= 0, got {shown}\n"
+    assert _run_with_config(tmp_path, argv, {"tolerance": float("nan")}) == 1
+    assert capsys.readouterr().err == "tolerance must be finite and >= 0, got nan\n"
+
+
+def test_verify_chain_below_two_sites_has_one_message(capsys):
+    # 0 and -3 were refused by the eigen route, as "N must be at least 1"
+    for n in ("1", "0", "-3"):
+        assert main(["verify", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "N must be at least 2\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_device_is_a_domain_error(capsys):
+    # the write, or the flush at close, once raised OSError: [Errno 28]
+    sweep = ["sweep", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--axis", "h", "--min", "0", "--max", "1",
+             "--steps", "3"]
+    surface = ["surface", "--q", "3", "--J", "1", "--axis", "beta", "--min", "0.5", "--max", "2", "--steps", "40",
+               "--axis2", "h", "--min2", "-1", "--max2", "1", "--steps2", "30", "--format", "json"]
+    for argv in (sweep, surface):
+        assert main([*argv, "--out", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot write output file '/dev/full': No space left on device\n"
+
+
+def _potts1d_process(argv, stdout):
+    src = str(Path(potts1d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, "-m", "potts1d", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                            env=env, text=True)
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # a reader that closes early once left a BrokenPipeError traceback
+    surface = ["surface", "--q", "3", "--J", "1", "--axis", "beta", "--min", "0.5", "--max", "2", "--steps", "100",
+               "--axis2", "h", "--min2", "-1", "--max2", "1", "--steps2", "100"]
+    proc = _potts1d_process(surface, subprocess.PIPE)
+    assert proc.stdout.readline().startswith("beta,h,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+    # A short output stays buffered until the final flush; a pipe with no
+    # reader at all fails it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _potts1d_process(["point", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"], write_end)
+    os.close(write_end)
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_device_exits_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = _potts1d_process(["point", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"], full)
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == "cannot write standard output: No space left on device\n"
+    proc.stderr.close()
 
 
 def test_verify_is_deterministic(capsys):

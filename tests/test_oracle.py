@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from potts1d import ModelParams, ThermoState, free_energy, three_route_report
 from potts1d.model import SpinConfig, config_energy
 from potts1d.oracle import (
     MAX_ENUMERATED_CONFIGS,
+    _CHUNK,
     _bond_count_histogram,
     enumerate_partition,
     finite_N_free_energy,
@@ -71,6 +73,28 @@ def test_bond_count_histogram_counts_every_chain_once():
         for sites in itertools.product(range(q), repeat=n):
             expected[sum(sites[i] != sites[(i + 1) % n] for i in range(n))] += 1
         assert np.array_equal(_bond_count_histogram(q, n), expected), (q, n)
+
+
+def test_bond_count_histogram_is_the_cycle_colouring_count():
+    # Choosing which k of the N bonds are unequal leaves a k-cycle to be
+    # coloured properly: C(N, k) * ((q-1)^k + (-1)^k (q-1)) chains, exactly
+    chains = [c for c in _small_chains(MAX_ENUMERATED_CONFIGS) if c[0] <= 64] + [(1414, 2)]
+    assert {(2, 20), (3, 13), (64, 3)} <= set(chains)
+    for q, n in chains:
+        expected = [math.comb(n, k) * ((q - 1) ** k + (-1) ** k * (q - 1)) for k in range(n + 1)]
+        assert _bond_count_histogram(q, n).tolist() == expected, (q, n)
+
+
+def test_bond_count_histogram_memory_at_the_cap_edge():
+    # one byte per chain with the first spin fixed, 3^12 = 531441 bytes,
+    # where building all 3^13 chains took 2.03 MiB
+    tracemalloc.start()
+    try:
+        _bond_count_histogram(3, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 @pytest.mark.parametrize("q, n", [(2, 20), (3, 13), (1414, 2)])
@@ -143,11 +167,13 @@ def test_enumeration_needs_two_sites():
 
 
 def test_enumeration_spans_chunk_boundaries():
-    # 4^9 = 262144 configurations crosses several 65536-long chunks
+    # 4^10 chains visit 4^9 = 262144 with the first spin fixed, several
+    # 65536-long chunks
+    assert 4**9 >= 4 * _CHUNK
     params = ModelParams(4, 0.31, -0.17)
     state = ThermoState(1.1)
-    assert enumerate_partition(params, state, 9) == pytest.approx(
-        partition_function(params, state, 9), rel=1e-12
+    assert enumerate_partition(params, state, 10) == pytest.approx(
+        partition_function(params, state, 10), rel=1e-12
     )
 
 
