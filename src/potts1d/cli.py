@@ -111,11 +111,22 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writes its help through a helper that swallows OSError; this
+    writes and flushes it directly, so a failed write reaches main.  Parsers
+    of the subcommands are built from the same class."""
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared: parsing
     leaves no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="potts1d",
         description="Exact transfer-matrix thermodynamics of the 1D q-state "
         "chain with agreement-coupled exchange and field terms.",

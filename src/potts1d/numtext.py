@@ -2,9 +2,9 @@
 
 `e16(x)` spells every value as `'%.16e' % v` and `shortest(x)` as
 `json.dumps(v)` (which is `repr(v)` for a finite v), byte for byte.  Each
-returns one WIDTH-byte ASCII field per value, padded with zero bytes that
-may sit anywhere in the field: the text is the field with its zero bytes
-removed.
+returns one WIDTH-byte ASCII field per value, both in the one layout given
+at WIDTH, padded with zero bytes that may sit anywhere in the field: the
+text is the field with its zero bytes removed.
 
 The digits come from V = |x| * 10**(16 - k), with 10**k <= |x| < 10**(k+1),
 computed in double-double arithmetic from a table 10**s = (hi + lo) * 2**t
@@ -28,14 +28,19 @@ import math
 
 import numpy as np
 
-WIDTH = 48
+# A field is four little-endian 8-byte words:
+#   word 0     the sign and a 0.000 prefix ('0.' and up to three '0')
+#   words 1-3  the 17 digits from the first byte of word 1 on, those after the
+#              point one byte up to make room for it; from byte 2 of word 3,
+#              '.0' or 'e', the exponent's sign and two or three digits
+WIDTH = 32
 
-# Rows per block the varying columns of a table are spelled in: one call per
-# block, so the per-call cost of numpy is spread over 1,024 rows.
+# Rows per block the varying columns of a table are spelled and assembled in:
+# one call per block, so the per-call cost of numpy is spread over 1,024 rows.
 BLOCK_ROWS = 1024
-# Rows per piece of text a block is assembled and returned in (about 600
-# bytes of buffer a row).  Assembling whole blocks left a process that also
-# parses the output about 1 MiB larger.
+# Rows per piece of text a block is returned in (about 300 bytes a row).
+# Returning whole blocks left a process that also parses the output about
+# 1 MiB larger.
 PIECE_ROWS = 256
 
 # A value this close (in units of the last of 17 digits) to a rounding or
@@ -50,17 +55,7 @@ _S_MIN, _S_MAX = -300, 345
 _E_MIN, _E_MAX = -324, 308
 _TEN16, _TEN17 = 10**16, 10**17
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
-
-# Field layout, in 8-byte words:
-#   word 0   sign, '0' '.' and up to three '0' (0.000ddd), digit 1, slot 1
-#   words 1-4  digits 2..17, each followed by its slot
-#   word 5   '.0', then 'e', exponent sign and up to three exponent digits
-# A slot holds the decimal point when it follows that digit.
-
-
-def _words(texts) -> np.ndarray:
-    """Byte strings of up to 8 bytes as native uint64 words."""
-    return np.array([t.ljust(8, b"\0") for t in texts], dtype="S8").view(np.uint64)
+_DOTS = np.uint64(int.from_bytes(b"." * 8, "little"))
 
 
 @functools.cache
@@ -69,15 +64,9 @@ def _tables():
     hi, lo, t = [], [], []
     for s in range(_S_MIN, _S_MAX + 1):
         # x = floor(10**s * 2**(120 - t)) with 10**s / 2**t in [1, 2)
-        if s >= 0:
-            p = 10**s
-            t.append(p.bit_length() - 1)
-            shift = 120 - t[-1]
-            x = p << shift if shift >= 0 else p >> -shift
-        else:
-            p = 10**-s
-            t.append(-p.bit_length())
-            x = (1 << (120 + p.bit_length())) // p
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        t.append(num.bit_length() - den.bit_length() - (s < 0))
+        x = (num << max(0, 120 - t[-1])) // (den << max(0, t[-1] - 120))
         h = float(x)
         hi.append(h)
         lo.append(float(x - int(h)))
@@ -85,26 +74,18 @@ def _tables():
     lo = np.ldexp(np.array(lo), -120)
     t = np.array(t, dtype=np.int64)
 
-    # word 0 by (sign, zeros of a 0.000 prefix plus one or none, digit 1)
-    head = _words(
-        sign + (b"0." + b"0" * (z - 1) if z else b"").ljust(5, b"\0") + b"%d" % d
-        for sign in (b"\0", b"-")
-        for z in range(5)
-        for d in range(10)
-    ).reshape(2, 5, 10)
-    # words 1-4: four digits, each followed by an empty slot, per group 0000..9999
-    quad = np.zeros((10_000, 8), dtype=np.uint8)
-    for i, place in enumerate((1000, 100, 10, 1)):
-        quad[:, 2 * i] = np.arange(10_000, dtype=np.uint16) // place % 10 + ord("0")
-    quad = quad.view(np.uint64).ravel()
-    # keep[n] clears digits 2..17 beyond the n-th
-    keep = np.zeros((18, 16, 2), dtype=np.uint8)
-    for n in range(2, 18):
-        keep[n, : n - 1, 0] = 0xFF
-    keep = keep.reshape(18, 4, 8).view(np.uint64)[..., 0]
-    # word 5: nothing, '.0', or an exponent
-    tail = _words([b"", b".0"] + [b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)])
-    return hi, lo, t, head, quad, keep, tail
+    def words(texts):  # byte strings of up to 8 bytes as little-endian words
+        return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)
+
+    # word 0 by (sign, zeros of a 0.000 prefix plus one or none)
+    prefix = words(sign + (b"0." + b"0" * (z - 1) if z else b"") for sign in (b"", b"-") for z in range(5))
+    # the digits of each group 0000..9999, in the low half of a word
+    quad = words(b"%04d" % v for v in range(10_000))
+    # the end of word 3: nothing, '.0', or an exponent
+    suffix = words([b"", b"\0\0.0"] + [b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)])
+    # below[:, j] keeps the bytes of words 1-3 before their byte j, j in 0..25
+    below = ~(np.uint64(2**64 - 1) << (8 * np.clip(np.arange(26) - [[0], [8], [16]], 0, 8)).astype(np.uint64))
+    return hi, lo, t, prefix, quad, suffix, below
 
 
 def _product_error(a, b, p):
@@ -118,6 +99,11 @@ def _product_error(a, b, p):
     return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _pow2(e):
+    """2.0**e for integers e in -1022..1023, from its bits (np.ldexp is slow)."""
+    return ((e + 1023) << 52).view(np.float64)
+
+
 def _scaled(a, k):
     """V = a * 10**(16 - k) as an int64 part and a fraction in [0, 1)."""
     hi, lo, t = _tables()[:3]
@@ -126,9 +112,9 @@ def _scaled(a, k):
     h = hi[i]
     p = m * h
     tail = _product_error(m, h, p) + m * lo[i]
-    e = e + t[i]
-    p = np.ldexp(p, e)  # scaling by 2**e is exact, so V = p + tail
-    tail = np.ldexp(tail, e)
+    scale = _pow2(e + t[i])  # V = p * scale + tail * scale, each product exact
+    p *= scale
+    tail *= scale
     whole = np.floor(p)
     frac = (p - whole) + tail
     carry = np.floor(frac)
@@ -160,7 +146,7 @@ def _shortest(a, k, whole, frac):
     # read back as a are those strictly within it (ends are ties).
     hi, _, t = _tables()[:3]
     i = 16 - k - _S_MIN
-    half_gap = np.ldexp(hi[i], np.maximum(e - 53, -1074) - 1 + t[i])
+    half_gap = hi[i] * _pow2(np.maximum(e - 53, -1074) - 1 + t[i])
     tol = TOLERANCE * (1.0 + half_gap)
     # The integers first..last lie strictly within half_gap of V.
     edge = frac - half_gap
@@ -172,13 +158,16 @@ def _shortest(a, k, whole, frac):
     # first..last holds a multiple of 10**j iff last % 10**j <= last - first;
     # if it does for j, it does for every smaller j.  Find the largest j.
     span = last - first
+    # (x - x // p * p: numpy's x % p is several times slower)
     j = np.zeros(a.size, dtype=np.int64)
-    live = np.arange(a.size)
-    for power in _POW10[1:]:
-        live = live[last[live] % power <= span[live]]
+    live = np.flatnonzero(last - last // 10 * 10 <= span)
+    for power in _POW10[2:]:
         if live.size == 0:
             break
         j[live] += 1
+        tail = last[live]
+        live = live[tail - tail // power * power <= span[live]]
+    j[live] += 1
     # Of the multiples of 10**j in range, repr takes the nearest.
     p = _POW10[j]
     quot = whole // p
@@ -192,33 +181,51 @@ def _layout(digits, count, decpt, negative, scientific) -> np.ndarray:
     """Fields for the values 0.d1d2...d17 * 10**decpt, digits given as a
     17-digit integer of which the first `count` are shown, in Python's
     scientific (%e) or fixed (repr) layout."""
-    _, _, _, head, quad, keep, tail = _tables()
-    fixed = ~scientific
-    out = np.empty((digits.size, 6), dtype=np.uint64)
-    first = digits // _TEN16
-    zeros = np.where(fixed & (decpt <= 0), 1 - decpt, 0)
-    out[:, 0] = head[negative.astype(np.intp), zeros, first]
-    digits = digits - first * _TEN16
-    high = digits // 10**8
-    digits -= high * 10**8
-    out[:, 1] = quad[high // 10**4]
-    out[:, 2] = quad[high % 10**4]
-    out[:, 3] = quad[digits // 10**4]
-    out[:, 4] = quad[digits % 10**4]
-    out[:, 5] = tail[np.where(scientific, decpt + 1 - _E_MIN, fixed & (decpt >= count))]
-    shown = np.where(fixed & (decpt > count), decpt, count)
-    cut = np.flatnonzero(shown < 17)
-    out[cut, 1:5] &= keep[shown[cut]]
-    out = out.view(np.uint8)
-    point = np.where(scientific, count > 1, np.where((decpt > 0) & (decpt < count), decpt, 0))
-    dotted = np.flatnonzero(point)
-    out[dotted, 5 + 2 * point[dotted]] = ord(".")  # the slot after digit `point`
-    return out
+    prefix, quad, suffix, below = _tables()[3:]
+    if np.ndim(scientific):  # repr: fixed or scientific by value
+        lead = np.where(scientific, 1, decpt)  # digits before the point
+        point = np.where((lead > 0) & (lead < count), lead, 24)  # 24: none
+        shown = np.maximum(count, lead)
+        zeros = np.maximum(1 - lead, 0)  # of '0.000'
+        end = np.where(scientific, decpt + (1 - _E_MIN), lead >= count)
+    else:  # %e: all 17 digits, the point after the first
+        point, shown, zeros, end = np.array([1]), np.array([17]), 0, decpt + (1 - _E_MIN)
+    words = np.empty((3, digits.size), dtype=np.uint64)
+    high = digits // 10**9  # digits 1-8, then 9-17
+    low = digits - high * 10**9
+    group = high // 10**4
+    words[0] = quad.take(group) | quad.take(high - group * 10**4) << 32
+    group = low // 10**5
+    low -= group * 10**5
+    high = low // 10
+    words[1] = quad.take(group) | quad.take(high) << 32
+    words[2] = low - high * 10 + ord("0")
+    words &= below.take(shown, axis=1)  # the digits not shown are no text
+    # The point goes to byte `point` of words 1-3; the bytes from there move up one.
+    moved = words << 8
+    moved[1:] |= words[:-1] >> 56
+    kept = below.take(point, axis=1)  # in place: a new array costs more here
+    words ^= moved
+    words &= kept
+    words ^= moved  # the bytes before the point, then those moved
+    kept ^= below.take(point + 1, axis=1)  # the point's byte
+    np.bitwise_xor(words, _DOTS, out=moved)
+    moved &= kept
+    words ^= moved
+    words[2] |= suffix.take(end)
+    out = np.empty((digits.size, 4), dtype="<u8")
+    out[:, 0] = prefix.take(zeros + 5 * negative)
+    for i, word in enumerate(words, 1):
+        out[:, i] = word
+    return out.view(np.uint8)
 
 
 def pack(texts) -> np.ndarray:
-    """Fields for ASCII strings of at most WIDTH characters."""
-    return np.array([s.encode("ascii") for s in texts], dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+    """Fields for ASCII strings; one longer than WIDTH raises ValueError."""
+    fields = np.array([s.encode("ascii") for s in texts], dtype="S")
+    if fields.dtype.itemsize > WIDTH:
+        raise ValueError(f"text of {fields.dtype.itemsize} characters does not fit a {WIDTH}-byte field")
+    return fields.astype(f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
 
 
 def _spell(x, shortest: bool, python) -> np.ndarray:
@@ -285,37 +292,44 @@ def rows_text(columns, grid: tuple[int, ...], spell, before: str, between: str, 
     spelled by `spell` (e16 or shortest), integer cells by str.
 
     A column that repeats over the grid (a constant, or one that varies along
-    a single axis) is spelled once per value along its grid line.  The others
-    are spelled in blocks of BLOCK_ROWS rows, all those of one dtype in one
-    call."""
+    a single axis) is spelled once per value along its grid line, and those
+    texts packed at the width of the longest.  The others are spelled in
+    blocks of BLOCK_ROWS rows, all those of one dtype in one call."""
 
     def cells(values: np.ndarray) -> np.ndarray:
         return pack(map(str, values.tolist())) if values.dtype.kind in "iu" else spell(values)
 
-    n, width = columns[0].size, WIDTH
+    def tight(fields: np.ndarray) -> np.ndarray:  # texts at the width of the longest
+        texts = np.array([f.tobytes().translate(None, b"\0") for f in fields], dtype="S")
+        return texts.view(np.uint8).reshape(len(fields), -1)
+
+    n = columns[0].size
     shape = (1,) + tuple(grid)
     repeats = [_repeat(c, shape) for c in columns]
-    lines = [None if r is None else (cells(r[0]), r[1]) for r in repeats]
+    lines = [None if r is None else (tight(cells(r[0])), r[1]) for r in repeats]
     varying = [i for i, r in enumerate(repeats) if r is None]
     dtypes = dict.fromkeys(columns[i].dtype for i in varying)
     groups = [[i for i in varying if columns[i].dtype == dtype] for dtype in dtypes]
-    separators = [
-        np.broadcast_to(np.frombuffer(text.encode("ascii"), dtype=np.uint8), (BLOCK_ROWS, len(text)))
-        for text in [before] + [between] * (len(columns) - 1) + [after]
-    ]
+    # A block of rows whose separators, and constant cells, are written once;
+    # the field of a cell is a slice of its columns.
+    texts = [before] + [between] * (len(columns) - 1) + [after]
+    widths = [WIDTH if line is None else line[0].shape[1] for line in lines] + [0]
+    row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
+    block = np.tile(np.frombuffer(row, dtype=np.uint8), (BLOCK_ROWS, 1))
+    ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
+    fields = [block[:, end - width:end] for end, width in zip(ends, widths)]
+    for field, line in zip(fields, lines):
+        if line is not None and len(line[0]) == 1:
+            field[:] = line[0]
     for lo in range(0, n, BLOCK_ROWS):
         rows = np.arange(lo, min(lo + BLOCK_ROWS, n))
-        fields = [None if line is None else line[0][rows // line[1] % len(line[0])] for line in lines]
+        for field, line in zip(fields, lines):
+            if line is not None and len(line[0]) > 1:
+                field[:rows.size] = np.take(line[0], rows // line[1] % len(line[0]), axis=0)
         for group in groups:
             spelled = cells(np.concatenate([columns[i][lo:lo + rows.size] for i in group]))
-            for i, part in zip(group, spelled.reshape(len(group), rows.size, width)):
-                fields[i] = part
-        parts = [separators[0]]
-        for field, separator in zip(fields, separators[1:]):
-            parts += [field, separator]
-        parts = [p for p in parts if p.shape[1]]  # CSV puts nothing before a row
+            for i, part in zip(group, spelled.reshape(len(group), rows.size, WIDTH)):
+                fields[i][:rows.size] = part
         for first in range(0, rows.size, PIECE_ROWS):
-            last = min(first + PIECE_ROWS, rows.size)
-            piece = np.concatenate([p[first:last] for p in parts], axis=1)
             # the zero bytes that pad each field are not text
-            yield piece.tobytes().translate(None, b"\0").decode("ascii")
+            yield block[first:min(first + PIECE_ROWS, rows.size)].tobytes().translate(None, b"\0").decode("ascii")

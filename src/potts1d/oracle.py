@@ -216,8 +216,8 @@ def iterate_partial_partition(
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
 
-# bincount copies its input to intp; histogramming this many one-byte counts
-# at a time keeps that copy at 512 KiB.
+# bincount copies its input to intp; histogramming this many two-byte pairs
+# of counts at a time keeps that copy at 512 KiB.
 _CHUNK = 1 << 16
 
 
@@ -240,10 +240,17 @@ def _bond_count_histogram(q: int, N: int) -> np.ndarray:
         # over the long run of earlier chains.
         cnt = (ne[:, :, None] + cnt[None, :, :]).reshape(q, -1)
     cnt = cnt + ne[:, :1]  # the periodic bond (last, first), broadcast along each row
+    # Counted two at a time: each uint16 pair indexes a (N + 1) x 256 table
+    # of (one byte, the other), folded along both axes.
     flat = cnt.ravel()
-    hist = np.zeros(N + 1, dtype=np.int64)
-    for start in range(0, flat.size, _CHUNK):
-        hist += np.bincount(flat[start:start + _CHUNK], minlength=N + 1)
+    pairs = flat[:flat.size - flat.size % 2].view(np.uint16)
+    table = np.zeros(256 * (N + 1), dtype=np.int64)
+    for start in range(0, pairs.size, _CHUNK):
+        table += np.bincount(pairs[start:start + _CHUNK], minlength=table.size)
+    table = table.reshape(N + 1, 256)
+    hist = table.sum(axis=1) + table.sum(axis=0)[:N + 1]
+    if flat.size % 2:
+        hist[flat[-1]] += 1
     return q * hist
 
 

@@ -336,6 +336,24 @@ def test_full_stdout_device_exits_without_traceback():
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["point", "--help"]])
+def test_help_to_a_full_stdout_device_fails(argv):
+    # argparse swallowed the write error: exit status 0 with nothing written
+    with open("/dev/full", "w") as full:
+        proc = _potts1d_process(argv, full)
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == "cannot write standard output: No space left on device\n"
+    proc.stderr.close()
+
+
+def test_help_is_written_with_status_0(capsys):
+    for argv in (["--help"], ["point", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: potts1d") and "--help" in out
+
+
 def test_verify_is_deterministic(capsys):
     args = ["verify", "--q", "4", "--J", "-2", "--h", "1", "--beta", "0.9", "--n", "5"]
     assert main(args) == 0

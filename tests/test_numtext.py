@@ -7,6 +7,7 @@ import random
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,23 @@ def test_tables_are_written_as_python_spells_each_cell():
         table_to_csv(table, csv)
         table_to_json(table, text)
         assert (csv.getvalue(), text.getvalue()) == _reference_text(table), (x, y)
+
+
+def test_longest_spellings_survive_rows_text():
+    # the longest text of each kind in every path: spelled per block (x and
+    # the int64 extremes), on a repeated line (inner, outer) and constant
+    longest = [-1.2345678901234567e-308, -0.00012345678901234567, -1234567890123456.7, -math.inf]
+    x = np.array(longest + longest[::-1])
+    inner, outer = np.tile(longest, 2), np.repeat(longest[:2], 4)
+    q = np.full(8, 2**63 - 1)
+    columns = [x, inner, outer, q, np.array([2**63 - 1, -(2**63)] + list(range(6))), np.full(8, -math.inf)]
+    for spell, python in ((numtext.e16, "%.16e".__mod__), (numtext.shortest, json.dumps)):
+        text = "".join(numtext.rows_text(columns, (2, 4), spell, "[", ",", "]\n"))
+        cells = [[str(v) if isinstance(v, int) else python(v) for v in c.tolist()] for c in columns]
+        assert text == "".join("[" + ",".join(row) + "]\n" for row in zip(*cells))
+
+
+def test_text_longer_than_a_field_is_refused():
+    assert numtext.pack(["9" * numtext.WIDTH]).tobytes() == b"9" * numtext.WIDTH
+    with pytest.raises(ValueError, match="does not fit"):
+        numtext.pack(["9" * (numtext.WIDTH + 1)])
