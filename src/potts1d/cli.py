@@ -66,14 +66,15 @@ def table_to_csv(table: SweepTable, out: TextIO) -> None:
 
 
 def table_to_json(table: SweepTable, out: TextIO) -> None:
-    """Write the text json.dumps gives for {"metadata": ..., "rows": [...]}."""
+    """Write the text json.dumps gives for {"metadata": ..., "rows": [...]}.
+
+    The metadata's base value of a swept parameter is null: the grid, not
+    the base, gives its values."""
+    base = dict(asdict(table.base_params), beta=None if table.base_state is None else table.base_state.beta)
+    for g in table.axes:
+        base["beta" if g.axis == "T" else g.axis] = None
     meta = {
-        "base": {
-            "q": table.base_params.q,
-            "J": table.base_params.J,
-            "h": table.base_params.h,
-            "beta": None if table.base_state is None else table.base_state.beta,
-        },
+        "base": base,
         "grids": [asdict(g) for g in table.axes],
         "columns": table_columns(table),
     }

@@ -46,13 +46,13 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308
 class StableCore(NamedTuple):
     """The recurring ratio shared by all thermodynamic closed forms.
 
-    x is 2*(h + J*beta); r is the sigmoid of x + ln(q-1).  one_minus_r and
+    t is 2*(h + J*beta) + ln(q-1); r is its sigmoid.  one_minus_r and
     two_r_minus_one are computed independently of r so no precision is lost
     when r saturates at either end.  log_lambda_max is the stable log of the
     dominant transfer-matrix eigenvalue.
     """
 
-    x: float
+    t: float
     r: float
     one_minus_r: float
     two_r_minus_one: float
@@ -79,19 +79,20 @@ def coupling_exponent(J, h, beta):
 
 def spectrum_core(q, u) -> StableCore:
     """The stable core at bond exponent u, elementwise over arrays."""
-    x = 2.0 * u
     log_q1 = np.log(q - 1)
-    t = x + log_q1
+    # 2u overflows only where |u| >= 2**1023, and t = +-inf is then still the
+    # right sigmoid argument.  Each log-eigenvalue branch is evaluated
+    # everywhere; exp overflows only where the other branch is taken.
+    with np.errstate(over="ignore"):
+        x = 2.0 * u
+        t = x + log_q1
+        large = u + log_q1 + np.log1p(np.exp(-x) / (q - 1))
+        small = -u + np.log1p((q - 1) * np.exp(x))
     # Both sigmoid branches from exp(-|t|), which never overflows.
     e = np.exp(-np.abs(t))
     upper, lower = 1.0 / (1.0 + e), e / (1.0 + e)
-    # Each log-eigenvalue branch is evaluated everywhere; exp overflows only
-    # where the other branch is taken.
-    with np.errstate(over="ignore"):
-        large = u + log_q1 + np.log1p(np.exp(-x) / (q - 1))
-        small = -u + np.log1p((q - 1) * np.exp(x))
     return StableCore(
-        x=x,
+        t=t,
         r=np.where(t >= 0.0, upper, lower),
         one_minus_r=np.where(t >= 0.0, lower, upper),
         two_r_minus_one=np.tanh(0.5 * t),
@@ -115,17 +116,17 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
         S=core.log_lambda_max - J * beta * core.two_r_minus_one,
         m=core.two_r_minus_one / beta,
         chi=chi,
-        C=require_finite(_heat_capacity(q, J, beta, core, chi), "C overflows", **at),
+        C=require_finite(_heat_capacity(J, beta, core, chi), "C overflows", **at),
     )
 
 
-def _heat_capacity(q, J, beta, core: StableCore, chi):
+def _heat_capacity(J, beta, core: StableCore, chi):
     """C = J^2 beta^3 chi wherever J^2, beta^3 and their product are normal
     doubles, so that C and chi agree to rounding.  Elsewhere that product is
     wrong or nan (inf * 0); C is then exp of
     ln C = 2 ln|J beta| + ln 4r(1-r),  ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|),
-    with t = 2u + ln(q-1), which underflows to its correct value (0 at J = 0)
-    and overflows only where C itself does."""
+    with the core's t = 2u + ln(q-1), which underflows to its correct value
+    (0 at J = 0) and overflows only where C itself does."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         j2, b3 = J**2, beta**3
         product = j2 * b3
@@ -134,7 +135,7 @@ def _heat_capacity(q, J, beta, core: StableCore, chi):
         direct = (np.minimum(np.minimum(j2, b3), product) >= _SMALLEST_NORMAL) & (product < np.inf)
     if direct.all():
         return C
-    t = np.abs(core.x + np.log(q - 1))
+    t = np.abs(core.t)
     with np.errstate(divide="ignore", over="ignore"):
         log_c = 2.0 * (np.log(np.abs(J)) + np.log(beta)) + math.log(4.0) - t - 2.0 * np.log1p(np.exp(-t))
         return np.where(direct, C, np.exp(log_c))
@@ -237,8 +238,9 @@ def fd_verify(params: ModelParams, state: ThermoState) -> FdReport:
 
     s_fd = -(t1p - t1m) / (2.0 * eps_t1)
     m_fd = -(h1p - h1m) / (2.0 * eps_h1)
-    chi_fd = -(h2p - 2.0 * f0 + h2m) / (eps_h2 * eps_h2)
-    c_fd = -T * (t2p - 2.0 * f0 + t2m) / (eps_t2 * eps_t2)
+    # Divided by the step twice: its square leaves double range at either end of beta.
+    chi_fd = -(h2p - 2.0 * f0 + h2m) / eps_h2 / eps_h2
+    c_fd = -T * ((t2p - 2.0 * f0 + t2m) / eps_t2 / eps_t2)
 
     errors = [_rel_error(float(c[0]), fd) for c, fd in zip(closed, (s_fd, m_fd, chi_fd, c_fd))]
     tolerances = (FIRST_DERIVATIVE_TOL,) * 2 + (SECOND_DERIVATIVE_TOL,) * 2

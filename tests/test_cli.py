@@ -554,3 +554,42 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
     capsys.readouterr()
+
+
+def test_verify_second_differences_stay_in_double_range(capsys):
+    # the squared second-difference step underflowed to 0 at beta ~ 3e290
+    # (ZeroDivisionError) and overflowed at beta = 1e-300 (C error nan)
+    for argv in (["--q", "2", "--J", "1e-300", "--h", "0.0", "--beta", "3.506144349373339e+290", "--n", "2"],
+                 ["--q", "3", "--J", "0.5", "--h", "0.2", "--beta", "1e-300", "--n", "3"]):
+        assert main(["verify", *argv]) == 0, argv
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert out.endswith("verify: PASS\n")
+
+
+def test_point_where_twice_the_coupling_exponent_overflows(capsys):
+    # |h + J*beta| >= 2**1023: 2u is inf, and the kernel takes that without
+    # a RuntimeWarning (an error under this suite's filterwarnings)
+    assert main(["point", "--q", "3", "--J", "0", "--h", "1e308", "--beta", "1"]) == 0
+    captured = capsys.readouterr()
+    values = _parse_point_output(captured.out)
+    assert captured.err == ""
+    assert values["f"] == -1e308
+    assert (values["m"], values["chi"], values["C"]) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("axes", [("beta",), ("T",), ("h",), ("J",), ("q",), ("h", "J")])
+def test_json_metadata_base_of_a_swept_parameter_is_null(axes, capsys):
+    # the base value of a swept parameter was the CLI placeholder (q 2,
+    # J 0, h 0) or the flag the grid overrides
+    argv = ["sweep" if len(axes) == 1 else "surface", "--q", "3", "--J", "1.25", "--h", "0.5", "--beta", "2",
+            "--format", "json"]
+    for axis, suffix in zip(axes, ("", "2")):
+        grid = ("2", "3") if axis == "q" else ("0.5", "1.5")
+        argv += [f"--axis{suffix}", axis, f"--min{suffix}", grid[0], f"--max{suffix}", grid[1], f"--steps{suffix}", "2"]
+    assert main(argv) == 0
+    base = json.loads(capsys.readouterr().out)["metadata"]["base"]
+    given = {"q": 3, "J": 1.25, "h": 0.5, "beta": 2.0}
+    for axis in axes:
+        given["beta" if axis == "T" else axis] = None
+    assert base == given

@@ -74,9 +74,12 @@ def _reference_text(table):
     csv = ",".join(names) + "\n" + "".join(
         ",".join(str(v) if isinstance(v, int) else "%.16e" % v for v in row) + "\n" for row in rows
     )
+    base = {"q": table.base_params.q, "J": table.base_params.J, "h": table.base_params.h,
+            "beta": None if table.base_state is None else table.base_state.beta}
+    for g in table.axes:  # a swept parameter has no base value
+        base["beta" if g.axis == "T" else g.axis] = None
     meta = {
-        "base": {"q": table.base_params.q, "J": table.base_params.J, "h": table.base_params.h,
-                 "beta": None if table.base_state is None else table.base_state.beta},
+        "base": base,
         "grids": [
             {"axis": g.axis, "min": g.min, "max": g.max, "steps": g.steps} for g in table.axes
         ],

@@ -316,3 +316,10 @@ def test_finite_n_free_energy_names_its_overflow():
     # ln Z_N * T overflows, but f_N = -ln(Z_N)/N * T does not (ln 2 * T < max)
     params, state = ModelParams(2, 0.0, 0.0), ThermoState(1e-308)
     assert finite_N_free_energy(params, state, 4) == pytest.approx(-math.log(2.0) * 1e308, rel=1e-14)
+
+
+def test_finite_n_free_energy_where_the_minor_term_nears_the_dominant():
+    # at N = 1, (q-1)|rho| is within 1e-14 of 1 here; f_1 = -(ln 64 - 18)
+    f = finite_N_free_energy(ModelParams(64, 0.0, 18.0), ThermoState(1.0), 1)
+    assert math.isfinite(f)
+    assert f == pytest.approx(18.0 - math.log(64.0), rel=1e-13)

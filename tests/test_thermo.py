@@ -46,7 +46,7 @@ def _random_points(seed, count, q_hi=12):
 def test_stable_core_shape():
     params, state = POINT
     core = spectrum_core(params.q, coupling_exponent(params.J, params.h, state.beta))
-    assert core.x == pytest.approx(2.4, rel=1e-15)
+    assert core.t == pytest.approx(2.4 + math.log(2.0), rel=1e-15)
     assert 0.0 < core.r < 1.0
     assert core.r == pytest.approx(0.9566091862622205, rel=1e-14)
     assert core.one_minus_r == pytest.approx(1.0 - core.r, rel=1e-12)

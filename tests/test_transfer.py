@@ -209,15 +209,18 @@ def test_partition_function_unit_weights():
 
 
 def test_partition_function_n1_is_trace():
+    # Z_1 = q exp(-u); (q-1)|rho| comes within rounding of 1 once u >> ln q
     rng = np.random.default_rng(29)
-    for _ in range(20):
-        q = int(rng.integers(2, 9))
-        params = ModelParams(q, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        state = ThermoState(float(rng.uniform(0.1, 2.0)))
+    points = [(3, 0.0, 20.0, 1.0), (64, 0.0, 18.0, 1.0), (2, 0.0, 700.0, 1.0), (2**62, 0.0, -700.0, 1.0)]
+    for _ in range(200):
+        q = int(2.0 ** rng.uniform(1.0, 62.0))
+        points.append((q, float(rng.uniform(-350, 350)), float(rng.uniform(-350, 350)), float(rng.uniform(0.1, 1.0))))
+    for q, J, h, beta in points:
+        params, state = ModelParams(q, J, h), ThermoState(beta)
         u = params.h + params.J * state.beta
         assert partition_function(params, state, 1) == pytest.approx(
             math.log(q) - u, rel=1e-12
-        )
+        ), (params, state)
 
 
 def test_partition_function_against_enumeration():
@@ -270,6 +273,25 @@ def test_partition_function_tiny_coupling_exponent():
                 lam_minor = mpmath.exp(-u) - mpmath.exp(u)
                 ref = float(mpmath.log(lam_max**n + (params.q - 1) * lam_minor**n))
             assert partition_function(params, state, n) == pytest.approx(ref, rel=1e-14), (params, state, n)
+
+
+def test_partition_function_against_400_digit_eigen_sum():
+    # Over q, N and both signs of u, including the (q-1)|rho|^N -> 1 corners:
+    # N = 1 at large u, and q = 2 with odd N at u ~ 355..373, where
+    # q(1-r) is subnormal.
+    mpmath = pytest.importorskip("mpmath")
+    mags = (1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 18.0, 20.0, 40.0, 100.0, 300.0, 700.0)
+    us = [s * m for m in mags for s in (1.0, -1.0)] + [355.0, 360.0, 365.5, 372.0, 373.0]
+    for u in us:
+        # the odd-N sum cancels in up to 2|u|/ln 10 digits: keep 400 beyond that
+        with mpmath.workdps(400 + int(0.87 * abs(u)) + 10):
+            e = mpmath.exp(mpmath.mpf(u))
+            for q in (2, 3, 5, 64, 10**6, 2**62):
+                lam_max, lam_minor = 1 / e + (q - 1) * e, 1 / e - e
+                for n in (1, 2, 3, 4, 5, 13, 1000):
+                    ref = float(mpmath.log(lam_max**n + (q - 1) * lam_minor**n))
+                    got = partition_function(ModelParams(q, 0.0, u), ThermoState(1.0), n)
+                    assert abs(got - ref) <= 4e-15 * max(abs(ref), 1.0), (q, n, u, got, ref)
 
 
 def test_partition_function_validates_n():
