@@ -6,26 +6,51 @@ Each periodic bond contributes -1 to the agreement sum when its two spins
 are equal and +1 when they differ.  The field term enters the energy divided
 by beta, so Boltzmann bond weights carry h without a beta factor.  The
 Boltzmann constant is fixed to 1 throughout, hence T = 1/beta.
+
+check_domain holds the domain of q, J, h, beta, T and the chain length N,
+one message per rule, for every module that takes them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _as_spin_count(q) -> int:
-    # q columns are int64; checked before float(q), which overflows at 2**1024.
-    if q > 2**63 - 1:
-        raise ValueError("q must be at most 2**63 - 1")
-    if not float(q).is_integer():
-        raise ValueError(f"q must be an integer, got {q!r}")
-    qi = int(q)
-    if qi < 2:
-        raise ValueError("q must be at least 2")
-    return qi
+def _not_integer(v):
+    return (np.trunc(v) != v) | np.isinf(v)
+
+
+# Each quantity's rules, in the order checked, each with its message.  q is
+# int64.  A positive T is outside where 1/T overflows, which is T <= 2**-1024.
+_DOMAIN = {
+    "q": ((lambda v: v >= 2**63, "q must be at most 2**63 - 1"), (_not_integer, "q must be an integer, got {!r}"),
+          (lambda v: v < 2, "q must be at least 2")),
+    "N": ((_not_integer, "N must be an integer, got {!r}"), (lambda v: v < 1, "N must be at least 1")),
+    "J": ((lambda v: ~np.isfinite(v), "J must be finite"),),
+    "h": ((lambda v: ~np.isfinite(v), "h must be finite"),),
+    "beta": ((lambda v: ~(v > 0.0) | (v == np.inf), "beta must be positive and finite"),),
+    "T": ((lambda v: ~(v > 0.0) | (v == np.inf), "T must be positive and finite"),
+          (lambda v: v <= 2.0**-1024, "beta must be positive and finite")),
+}
+
+
+def check_domain(name: str, values) -> np.ndarray:
+    """values as an array (int64 for q) if each lies in the domain of the
+    quantity name; else a ValueError for the first point outside and the first
+    rule it breaks: the bare message for a scalar, and for an array
+    'invalid grid point <name>=<p>: <message>'."""
+    rules = _DOMAIN[name]
+    v = np.asarray(values, dtype=None if name in ("q", "N") else float)
+    if v.dtype == object:  # ints beyond uint64: clipped, as float() overflows at 2**1024
+        v = np.asarray(np.clip(v, -(2**1023), 2**1023), dtype=float)
+    bad = np.logical_or.reduce([fails(v) for fails, _ in rules])
+    if np.count_nonzero(bad):
+        p = v.flat[int(np.argmax(bad))]
+        message = next(m for fails, m in rules if fails(p)).format(p.item())
+        raise ValueError(message if v.ndim == 0 else f"invalid grid point {name}={p.item()!r}: {message}")
+    return v.astype(np.int64) if name == "q" else v
 
 
 @dataclass(frozen=True)
@@ -41,13 +66,8 @@ class ModelParams:
     h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_spin_count(self.q))
-        object.__setattr__(self, "J", float(self.J))
-        object.__setattr__(self, "h", float(self.h))
-        if not math.isfinite(self.J):
-            raise ValueError("J must be finite")
-        if not math.isfinite(self.h):
-            raise ValueError("h must be finite")
+        for name in ("q", "J", "h"):
+            object.__setattr__(self, name, check_domain(name, getattr(self, name)).item())
 
 
 def require_finite(value, message: str, **inputs):
@@ -81,9 +101,7 @@ class ThermoState:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be positive and finite")
+        object.__setattr__(self, "beta", check_domain("beta", self.beta).item())
 
     @property
     def T(self) -> float:
@@ -91,10 +109,7 @@ class ThermoState:
 
     @classmethod
     def from_temperature(cls, T) -> "ThermoState":
-        T = float(T)
-        if not (math.isfinite(T) and T > 0.0):
-            raise ValueError("T must be positive and finite")
-        return cls(1.0 / T)
+        return cls(1.0 / check_domain("T", T).item())
 
 
 @dataclass(frozen=True)
@@ -127,10 +142,6 @@ def config_energy(config: SpinConfig, params: ModelParams, state: ThermoState) -
     if max(sites) > params.q:
         raise ValueError(f"spin {max(sites)} outside 1..{params.q}")
     agreement = sum(1.0 if a != b else -1.0 for a, b in zip(sites, sites[1:] + sites[:1]))
-    energy = -(params.J + params.h / state.beta) * agreement
-    if not math.isfinite(energy):  # h / beta overflows at a tiny beta
-        raise ValueError(
-            f"energy -(J + h/beta) * (agreement sum) overflows at J={params.J!r}, "
-            f"h={params.h!r}, beta={state.beta!r}"
-        )
-    return energy
+    energy = -(params.J + params.h / state.beta) * agreement  # h / beta overflows at a tiny beta
+    message = "energy -(J + h/beta) * (agreement sum) overflows"
+    return require_finite(energy, message, J=params.J, h=params.h, beta=state.beta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ThermoState
+from .model import ModelParams, ThermoState, check_domain, require_finite
 from .thermo import coupling_exponent
 from .transfer import log_dominant_eigenvalue, partition_function
 
@@ -262,8 +262,10 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
     a log-sum-exp over the at most N + 1 occupied levels, so neither the
     weights nor the total can overflow.  The histogram of k comes from the
     q^(N-1) chains with the first spin fixed, times q (the spin-relabelling
-    symmetry), in about q^(N-1) bytes; the cap still bounds q^N.
+    symmetry), in about q^(N-1) bytes; the cap still bounds q^N.  A
+    ValueError names the point where ln Z_N leaves double range.
     """
+    N = int(check_domain("N", N))
     if N < 2:
         raise ValueError("N must be at least 2")
     q = params.q
@@ -278,8 +280,10 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
     # -beta*E = (beta*J + h) * (agreement sum), per bond +1 unequal / -1 equal.
     w = state.beta * params.J + params.h
     k = np.flatnonzero(hist)
-    log_weights = w * (2.0 * k - N)
-    peak = float(log_weights.max())
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite w gives inf, or nan at 2k = N
+        log_weights = w * (2.0 * k - N)
+    peak = require_finite(float(log_weights.max()), "ln Z_N overflows",
+                          q=q, J=params.J, h=params.h, beta=state.beta, N=N)
     return peak + math.log(float(hist[k] @ np.exp(log_weights - peak)))
 
 
@@ -289,8 +293,7 @@ def trace_power_partition(params: ModelParams, state: ThermoState, N: int) -> fl
     Each product is renormalized by its largest entry and the log of the
     scale factor is accumulated, so the N-th power never overflows.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = int(check_domain("N", N))
     m = build_matrix(params, state).to_dense()
     s0 = float(m.max())
     a = m / s0

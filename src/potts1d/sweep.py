@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelParams, ThermoState, _as_spin_count, temperature
+from .model import ModelParams, ThermoState, check_domain, temperature
 from .thermo import coupling_exponent, spectrum_core, thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
@@ -28,9 +28,7 @@ MAX_GRID_POINTS = 2**22
 @dataclass(frozen=True)
 class GridSpec:
     """A linear grid over one parameter axis, endpoints included, whose
-    points are valid: q an integer in 2..2**63 - 1, beta > 0, T > 0 with a
-    finite 1/T.  Invalid beta or T points are a prefix of the grid, so the
-    error names the first in grid-index order."""
+    points all lie in the model's domain (model.check_domain)."""
 
     axis: str
     min: float
@@ -51,22 +49,7 @@ class GridSpec:
         width = float(self.max) - float(self.min)
         if not math.isfinite(width):  # linspace would give nan points
             raise ValueError(f"grid width max - min = {width!r} is not finite")
-        if self.axis == "q":
-            points = self.points()
-            bad = (points != np.rint(points)) | (points < 2.0) | (points >= 2.0**63)
-            if bad.any():
-                p = float(points[np.argmax(bad)])
-                raise ValueError(f"q grid point {p!r} " + ("exceeds 2**63 - 1" if p >= 2.0**63 else "is not an integer >= 2"))
-        if self.axis in ("beta", "T"):
-            points = self.points()
-            with np.errstate(divide="ignore", over="ignore"):
-                beta = 1.0 / points if self.axis == "T" else points
-            bad = ~((beta > 0.0) & (beta < np.inf))
-            if bad.any():
-                p = float(points[np.argmax(bad)])
-                # A positive T is invalid only where 1/T overflows.
-                name = "beta" if self.axis == "T" and p > 0.0 else self.axis
-                raise ValueError(f"invalid grid point {self.axis}={p!r}: {name} must be positive and finite")
+        check_domain(self.axis, self.points())
 
     def points(self) -> np.ndarray:
         # linspace keeps both endpoints exact.
@@ -158,7 +141,7 @@ def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
     """
     if beta_grid.axis != "beta":
         raise ValueError("q_ordering_check needs a beta grid")
-    qs = [_as_spin_count(q) for q in q_list]
+    qs = [check_domain("q", q).item() for q in q_list]
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_list must be strictly increasing")
     qa, qb = np.array(qs[:-1])[:, None], np.array(qs[1:])[:, None]

@@ -213,7 +213,8 @@ class FdReport:
 
 
 def _rel_error(closed: float, approx: float) -> float:
-    return abs(closed - approx) / max(abs(closed), abs(approx), 1.0)
+    # closed is finite; an infinite difference is an infinite error, not inf/inf = nan
+    return math.inf if math.isinf(approx) else abs(closed - approx) / max(abs(closed), abs(approx), 1.0)
 
 
 def fd_verify(params: ModelParams, state: ThermoState) -> FdReport:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .model import ModelParams, ThermoState
+from .model import ModelParams, ThermoState, check_domain, require_finite
 from .thermo import coupling_exponent, spectrum_core
 
 
@@ -43,13 +43,14 @@ def partition_function(params: ModelParams, state: ThermoState, N: int) -> float
     so the correction term (q-1) (lambda_minor/lambda_max)^N has log
     z = N ln|w| - (N-1) ln(q-1) and the sign of w^N.  Where w < 0,
     ln|w| = log1p(-q(1-r)), which does not cancel as r -> 1.  The sum stays
-    positive because the dominant eigenvalue strictly dominates.
+    positive because the dominant eigenvalue strictly dominates.  A ValueError
+    names the point where ln Z_N itself leaves double range.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = int(check_domain("N", N))
     q = params.q
     core = spectrum_core(q, coupling_exponent(params.J, params.h, state.beta))
-    head = N * float(core.log_lambda_max)
+    head = require_finite(N * float(core.log_lambda_max), "ln Z_N overflows",  # the rest adds at most ln q
+                          q=q, J=params.J, h=params.h, beta=state.beta, N=N)
     a = q * float(core.one_minus_r)  # 1 - w
     with np.errstate(divide="ignore"):  # w rounds to 0 near u = 0, and z to -inf
         log_abs_w = float(np.log1p(-a) if a < 1.0 else np.log(a - 1.0))

@@ -73,7 +73,7 @@ def test_out_of_range_inputs_are_domain_errors(tmp_path, capsys):
          "q must be at most 2**63 - 1"),
         ([*sweep, "--steps", "1000000000000000"], "steps = 1000000000000000 exceeds the grid-point cap of 4194304"),
         (["sweep", "--J", "1", "--h", "0", "--beta", "1", "--axis", "q", "--min", "2", "--max", "1e20", "--steps", "2"],
-         "q grid point 1e+20 exceeds 2**63 - 1"),
+         "invalid grid point q=1e+20: q must be at most 2**63 - 1"),
         (["verify", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--n", "10000"],
          "q^N at q=3, N=10000 exceeds the enumeration cap of 2000000 configurations"),
         ([*sweep, "--steps", "3", "--out", str(tmp_path / "missing" / "out.csv")],
@@ -593,3 +593,14 @@ def test_json_metadata_base_of_a_swept_parameter_is_null(axes, capsys):
     for axis in axes:
         given["beta" if axis == "T" else axis] = None
     assert base == given
+
+
+def test_verify_refuses_an_overflowing_ln_z_by_name(capsys):
+    # N*|h + J*beta| is beyond double range: the eigen route once returned inf,
+    # and enumeration nan with two numpy warnings, before the dense-limit error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--q", "2", "--J", "0", "--h", "1e308", "--beta", "1", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ln Z_N overflows at q=2, J=0.0, h=1e+308, beta=1.0, N=2\n"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -323,3 +324,28 @@ def test_finite_n_free_energy_where_the_minor_term_nears_the_dominant():
     f = finite_N_free_energy(ModelParams(64, 0.0, 18.0), ThermoState(1.0), 1)
     assert math.isfinite(f)
     assert f == pytest.approx(18.0 - math.log(64.0), rel=1e-13)
+
+
+def test_every_chain_length_route_checks_n_by_name():
+    # 2.5 once gave ln Z_N = 4.1625 and f_N = -1.665 for the eigen routes, and
+    # a bare TypeError from the other two
+    routes = (partition_function, finite_N_free_energy, enumerate_partition, trace_power_partition)
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^N must be an integer, got 2\.5$"):
+            route(*POINT, 2.5)
+        with pytest.raises(ValueError, match=r"^N must be at least 1$"):
+            route(*POINT, 0)
+        assert route(*POINT, 3.0) == route(*POINT, 3)
+
+
+def test_enumeration_refuses_an_overflowing_ln_z_by_name():
+    # w * (2k - N) overflowed, and inf - inf gave nan with two numpy warnings
+    message = r"^ln Z_N overflows at q=2, J=0\.0, h=1e\+308, beta=1\.0, N=2$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (enumerate_partition, partition_function):
+            with pytest.raises(ValueError, match=message):
+                route(ModelParams(2, 0.0, 1e308), ThermoState(1.0), 2)
+        # an infinite beta*J, where 2k = N makes inf * 0
+        with pytest.raises(ValueError, match=r"^ln Z_N overflows at q=3, J=1e\+308, h=0\.0, beta=10\.0, N=2$"):
+            enumerate_partition(ModelParams(3, 1e308, 0.0), ThermoState(10.0), 2)
