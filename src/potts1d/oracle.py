@@ -2,17 +2,17 @@
 routes the paper derives them by, exhaustive enumeration, and the report
 that compares three routes to ln Z_N.
 
-TransferMatrix is the q x q matrix itself.  Power iteration, the
-partial-partition recursion and trace powers work on its dense form;
-closed_form_spectrum and minor_ratio give the two eigenvalues in value
-form, which overflow where the log forms in transfer do not, for those
-routes to be compared against.  The numeric routes never share arithmetic
-with the closed forms they check.  Enumeration gives each periodic chain
-its own count of unequal bonds, built one site at a time so that chains
-sharing a prefix share the work, and then weights the exact histogram of
-those counts.  Relabelling the spins keeps every bond equal or unequal, so
-only the q^(N-1) chains whose first spin is 0 are visited, one byte each,
-and their histogram is scaled by q to cover all q^N.
+TransferMatrix is the q x q matrix itself, and trace powers work on its
+dense form; closed_form_spectrum and minor_ratio give the two eigenvalues
+in value form, which overflow where the log forms in transfer do not, for
+the dense matrix and its eigendecomposition to be compared against.  The
+numeric routes never share arithmetic with the closed forms they check.
+Enumeration gives each periodic chain its own count of unequal bonds,
+built one site at a time so that chains sharing a prefix share the work,
+and then weights the exact histogram of those counts.  Relabelling the
+spins keeps every bond equal or unequal, so only the q^(N-1) chains whose
+first spin is 0 are visited, one byte each, and their histogram is scaled
+by q to cover all q^N.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ DENSE_EXPONENT_LIMIT = 300.0
 # Largest q with a dense q x q matrix: 32 MiB of float64, of which the
 # trace-power route holds a few at a time.
 MAX_DENSE_Q = 2048
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,8 @@ class TransferMatrix:
         return math.exp(self.log_offdiag)
 
     def to_dense(self) -> np.ndarray:
-        """The q x q matrix; every dense route (power iteration, partial sums,
-        trace powers) starts here, so q is capped before anything is allocated."""
+        """The q x q matrix; every dense route (eigendecomposition, trace
+        powers) starts here, so q is capped before anything is allocated."""
         if self.q > MAX_DENSE_Q:
             raise ValueError(f"q = {self.q} exceeds the dense-matrix cap of {MAX_DENSE_Q} states")
         if abs(self.log_offdiag) > DENSE_EXPONENT_LIMIT:
@@ -109,11 +105,11 @@ def closed_form_spectrum(params: ModelParams, state: ThermoState) -> EigenSpectr
         minor = -2.0 * math.sinh(u)
     except OverflowError:
         minor = math.inf if u < 0.0 else -math.inf
-    return EigenSpectrum(
-        lambda_minor=minor,
-        lambda_max=math.exp(llm) if llm < 709.0 else math.inf,
-        log_lambda_max=llm,
-    )
+    try:
+        lam = math.exp(llm)
+    except OverflowError:
+        lam = math.inf
+    return EigenSpectrum(lambda_minor=minor, lambda_max=lam, log_lambda_max=llm)
 
 
 def minor_ratio(params: ModelParams, state: ThermoState) -> float:
@@ -127,91 +123,6 @@ def minor_ratio(params: ModelParams, state: ThermoState) -> float:
     if u > 0.0:
         return math.expm1(-2.0 * u) / (math.exp(-2.0 * u) + (q - 1))
     return -math.expm1(2.0 * u) / (1.0 + (q - 1) * math.exp(2.0 * u))
-
-
-def numeric_dominant_eigenvalue(
-    matrix: TransferMatrix, tol: float = 1e-12, max_iter: int = 10000
-) -> float:
-    """Dominant eigenvalue by power iteration from the all-ones vector.
-
-    The matrix is entrywise positive, so the iteration converges to the
-    simple dominant eigenvalue from any positive start; all-ones keeps the
-    run deterministic.  Convergence is declared when the Rayleigh quotient
-    changes by less than tol relative to its current magnitude.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a = matrix.to_dense()
-    v = np.ones(matrix.q)
-    v /= np.linalg.norm(v)
-    prev = None
-    residual = math.inf
-    for _ in range(max_iter):
-        w = a @ v
-        rayleigh = float(v @ w)
-        if prev is not None:
-            residual = abs(rayleigh - prev)
-            if residual <= tol * max(1.0, abs(rayleigh)):
-                return rayleigh
-        prev = rayleigh
-        v = w / np.linalg.norm(w)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last Rayleigh-quotient change {residual:.3e}"
-    )
-
-
-@dataclass(frozen=True)
-class PartialPartitionVector:
-    """Per-spin partial partition sums, optionally in max-normalized form.
-
-    components[s] is the partial sum with the newest site frozen to spin
-    s+1.  log_scale accumulates the log of every factor divided out by the
-    scaled iteration, so the raw vector is components * exp(log_scale).
-    """
-
-    components: np.ndarray
-    log_scale: float = 0.0
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comp)
-        if comp.ndim != 1 or comp.size < 2:
-            raise ValueError("components must be a vector of length q >= 2")
-        if not np.all(comp > 0.0):
-            raise ValueError("partial partition sums must stay positive")
-
-    @classmethod
-    def uniform(cls, q: int) -> "PartialPartitionVector":
-        return cls(np.ones(q), 0.0)
-
-
-def iterate_partial_partition(
-    v: PartialPartitionVector,
-    params: ModelParams,
-    state: ThermoState,
-    scaled: bool = False,
-) -> PartialPartitionVector:
-    """One recursion step: multiply the partial sums by the transfer matrix.
-
-    With scaled=True the result is renormalized by its largest component
-    and the log of that factor is added to log_scale, so arbitrarily long
-    chains never overflow.  The unscaled form returns the raw product and
-    raises once a component leaves double range.
-    """
-    if v.components.size != params.q:
-        raise ValueError("vector length does not match q")
-    with np.errstate(over="ignore"):
-        w = build_matrix(params, state).to_dense() @ v.components
-    if not np.all(np.isfinite(w)):
-        raise OverflowError(
-            "matrix-vector product overflowed; rerun with scaled=True "
-            "from a normalized vector"
-        )
-    if scaled:
-        s = float(w.max())
-        return PartialPartitionVector(w / s, v.log_scale + math.log(s))
-    return PartialPartitionVector(w, v.log_scale)
 
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
@@ -317,12 +228,8 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
     f = -ln_z * state.T / N
     if not math.isfinite(f):  # ln Z_N * T can overflow where f does not
         f = -(ln_z / N) * state.T
-    if not math.isfinite(f):
-        raise ValueError(
-            f"finite-N free energy -ln(Z_N)/(beta*N) overflows at q={params.q}, "
-            f"J={params.J!r}, h={params.h!r}, beta={state.beta!r}, N={N}"
-        )
-    return f
+    return require_finite(f, "finite-N free energy -ln(Z_N)/(beta*N) overflows",
+                          q=params.q, J=params.J, h=params.h, beta=state.beta, N=N)
 
 
 @dataclass(frozen=True)
@@ -360,7 +267,12 @@ def three_route_report(params: ModelParams, state: ThermoState, N: int) -> Oracl
     )
 
 
-def refine_peak(fn, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
+# Golden-section steps in refine_peak: each keeps 0.618 of the bracket, so
+# the last bracket is about 2e-19 of the first.
+GOLDEN_SECTION_STEPS = 90
+
+
+def refine_peak(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximizer of a unimodal callable on [lo, hi]."""
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -368,7 +280,7 @@ def refine_peak(fn, lo: float, hi: float, iters: int = 90) -> tuple[float, float
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_SECTION_STEPS):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)

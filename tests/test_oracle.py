@@ -204,11 +204,14 @@ def test_trace_power_matches_enumeration():
 
 def test_trace_power_identity_against_eigen_sum():
     rng = np.random.default_rng(47)
+    cases = [(*POINT, 40)]  # a 40-step chain, rescaled at every product
     for _ in range(40):
         q = int(rng.integers(2, 7))
         n = int(rng.integers(1, 13))
         params = ModelParams(q, float(rng.uniform(-4, 4)), float(rng.uniform(-3, 3)))
         state = ThermoState(float(rng.uniform(0.1, 2.0)))
+        cases.append((params, state, n))
+    for params, state, n in cases:
         if abs(params.h + params.J * state.beta) > 10.0:
             continue
         a = trace_power_partition(params, state, n)
@@ -217,11 +220,13 @@ def test_trace_power_identity_against_eigen_sum():
 
 
 def test_trace_power_survives_large_exponents():
-    # entries up to e^{120}: the per-step rescale keeps the product bounded
-    params = ModelParams(3, 60.0, 0.0)
-    state = ThermoState(2.0)
-    lnz = trace_power_partition(params, state, 12)
-    assert lnz == pytest.approx(partition_function(params, state, 12), rel=1e-12)
+    # entries up to e^{120}, and e^{200} whose tenth power overflows unscaled:
+    # the per-step rescale keeps the product bounded
+    cases = [(ModelParams(3, 60.0, 0.0), ThermoState(2.0), 12)]
+    cases += [(ModelParams(2, 0.0, h), ThermoState(1.0), n) for h in (200.0, -200.0) for n in (10, 11)]
+    for params, state, n in cases:
+        lnz = trace_power_partition(params, state, n)
+        assert lnz == pytest.approx(partition_function(params, state, n), rel=1e-12), (params, n)
 
 
 def test_finite_n_free_energy_exact_for_unit_weights():

@@ -1,6 +1,6 @@
 """The transfer-matrix method: the log spectrum and ln Z_N of transfer, and
-the dense matrix, value-form spectrum, power iteration and partial sums of
-oracle that check them."""
+the dense matrix, its numpy eigendecomposition and the value-form spectrum
+of oracle that check them."""
 
 import math
 import tracemalloc
@@ -12,14 +12,10 @@ from potts1d import ModelParams, ThermoState
 from potts1d.oracle import (
     DENSE_EXPONENT_LIMIT,
     MAX_DENSE_Q,
-    ConvergenceError,
-    PartialPartitionVector,
     build_matrix,
     closed_form_spectrum,
     enumerate_partition,
-    iterate_partial_partition,
     minor_ratio,
-    numeric_dominant_eigenvalue,
     trace_power_partition,
 )
 from potts1d.thermo import LARGE_EXPONENT_THRESHOLD
@@ -63,9 +59,15 @@ def test_spectrum_against_numeric_eigendecomposition():
     w = np.linalg.eigvalsh(build_matrix(*POINT).to_dense())
     assert spectrum.lambda_max == pytest.approx(w[-1], rel=1e-12)
     assert spectrum.lambda_minor == pytest.approx(w[0], rel=1e-12)
-    assert spectrum.lambda_minor == pytest.approx(-3.0189227108243455, rel=1e-14)
-    assert spectrum.lambda_max == pytest.approx(6.941428057385298, rel=1e-14)
-    assert spectrum.log_lambda_max == pytest.approx(math.log(spectrum.lambda_max), rel=1e-14)
+    # at u = 709.5 both values are still doubles, though the dense matrix
+    # stops at u = 300
+    edge = (ModelParams(2, 0.0, 709.5), ThermoState(1.0))
+    for point, minor, lam in ((POINT, -3.0189227108243455, 6.941428057385298),
+                              (edge, -1.3549863193146328e308, 1.3549863193146328e308)):
+        spectrum = closed_form_spectrum(*point)
+        assert spectrum.lambda_minor == pytest.approx(minor, rel=1e-14)
+        assert spectrum.lambda_max == pytest.approx(lam, rel=1e-14)
+        assert spectrum.log_lambda_max == pytest.approx(math.log(spectrum.lambda_max), rel=1e-14)
 
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -139,67 +141,6 @@ def test_minor_ratio_matches_direct_quotient():
         assert minor_ratio(params, state) == pytest.approx(
             spectrum.lambda_minor / spectrum.lambda_max, rel=1e-12, abs=1e-15
         )
-
-
-def test_power_iteration_all_ones():
-    m = build_matrix(ModelParams(2, 0.0, 0.0), ThermoState(1.0))
-    assert numeric_dominant_eigenvalue(m, tol=1e-12) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_power_iteration_matches_closed_form():
-    for params, state in (
-        (ModelParams(3, 1.0, 0.5), ThermoState(0.7)),
-        (ModelParams(5, -2.0, 1.0), ThermoState(0.3)),
-        (ModelParams(7, 3.0, -1.0), ThermoState(2.0)),
-    ):
-        lam = numeric_dominant_eigenvalue(build_matrix(params, state), tol=1e-12)
-        assert lam == pytest.approx(closed_form_spectrum(params, state).lambda_max, rel=1e-12)
-
-
-def test_power_iteration_convergence_error():
-    m = build_matrix(*POINT)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        numeric_dominant_eigenvalue(m, tol=1e-12, max_iter=1)
-    with pytest.raises(ValueError):
-        numeric_dominant_eigenvalue(m, tol=0.0)
-
-
-def test_partial_partition_uniform_step():
-    v = PartialPartitionVector.uniform(2)
-    out = iterate_partial_partition(v, ModelParams(2, 0.0, 0.0), ThermoState(1.0))
-    np.testing.assert_allclose(out.components, 2.0, rtol=1e-15)
-
-    v3 = PartialPartitionVector.uniform(3)
-    out3 = iterate_partial_partition(v3, *POINT)
-    expected = math.exp(-1.2) + 2 * math.exp(1.2)
-    np.testing.assert_allclose(out3.components, expected, rtol=1e-14)
-    assert expected == pytest.approx(6.941428057385297, rel=1e-15)
-
-
-def test_partial_partition_scaled_accumulation():
-    # from the uniform start the accumulated log scale is N * log(lambda_max)
-    params, state = POINT
-    llm = log_dominant_eigenvalue(params, state)
-    v = PartialPartitionVector.uniform(3)
-    n = 40
-    for _ in range(n):
-        v = iterate_partial_partition(v, params, state, scaled=True)
-    np.testing.assert_allclose(v.components, 1.0, rtol=1e-13)
-    assert v.log_scale == pytest.approx(n * llm, rel=1e-10)
-
-
-def test_partial_partition_overflow_directs_to_scaled():
-    params = ModelParams(2, 0.0, 200.0)  # offdiag e^200, still materializable
-    state = ThermoState(1.0)
-    v = PartialPartitionVector.uniform(2)
-    with pytest.raises(OverflowError, match="scaled"):
-        for _ in range(10):
-            v = iterate_partial_partition(v, params, state, scaled=False)
-    # the scaled form walks the same chain without trouble
-    v = PartialPartitionVector.uniform(2)
-    for _ in range(10):
-        v = iterate_partial_partition(v, params, state, scaled=True)
-    assert math.isfinite(v.log_scale)
 
 
 def test_partition_function_unit_weights():
@@ -303,11 +244,8 @@ def test_dense_routes_cap_q_before_allocating():
     # at q = 10^5 a dense q x q matrix would take 80 GB
     for q in (MAX_DENSE_Q + 1, 100_000):
         params, state = ModelParams(q, 1.0, 0.0), ThermoState(1.0)
-        vector = PartialPartitionVector.uniform(q)
         routes = (
             lambda: build_matrix(params, state).to_dense(),
-            lambda: numeric_dominant_eigenvalue(build_matrix(params, state)),
-            lambda: iterate_partial_partition(vector, params, state),
             lambda: trace_power_partition(params, state, 4),
         )
         for route in routes:
