@@ -10,9 +10,9 @@ numeric routes never share arithmetic with the closed forms they check.
 Enumeration gives each periodic chain its own count of unequal bonds,
 built one site at a time so that chains sharing a prefix share the work,
 and then weights the exact histogram of those counts.  Relabelling the
-spins keeps every bond equal or unequal, so only the q^(N-1) chains whose
-first spin is 0 are visited, one byte each, and their histogram is scaled
-by q to cover all q^N.
+spins keeps every bond equal or unequal, so only the 2 q^(N-2) chains whose
+first spin is 0 and second spin 0 or 1 are visited, one byte each, in
+blocks of 32 KiB, and their histograms are weighted to cover all q^N.
 """
 
 from __future__ import annotations
@@ -127,42 +127,52 @@ def minor_ratio(params: ModelParams, state: ThermoState) -> float:
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
 
-# bincount copies its input to intp; histogramming this many two-byte pairs
-# of counts at a time keeps that copy at 512 KiB.
-_CHUNK = 1 << 16
+# Chains are counted in blocks of this many bytes, so that bincount's intp
+# copy of a block's uint16 pairs is 128 KiB (16 KiB blocks were about 15 %
+# slower at q = 3, N = 13).  A chain's head is at most an eighth of a block,
+# so whole heads fill at least 8/9 of it.
+_BLOCK = 1 << 15
 
 
 def _bond_count_histogram(q: int, N: int) -> np.ndarray:
     """Exact number of periodic q-state chains of N sites with k unequal
     bonds, for k = 0..N; the entries sum to q^N.
 
-    Relabelling the spins keeps every bond equal or unequal, so each of the
-    q first spins heads the same histogram: the chains with the first spin
-    fixed at 0, q^(N-1) of them, are counted and the result is scaled by q.
-    The count of every chain is held as one uint8 (k <= N <= 20 under the
-    cap), so the working memory stays at about q^(N-1) bytes.
+    Relabelling the spins keeps every bond equal or unequal, so the first
+    spin is fixed at 0 (weight q) and the second at 0 (weight 1) or at 1
+    (weight q - 1, one for each label other than the first spin's): the
+    count of every one of the 2 q^(N-2) chains left is built as one uint8
+    (k <= N <= 20 under the cap).  A chain is a head, spins 1..a, and a
+    tail, spins a+1..N-1 with the bond back to the first spin.  A block is
+    the head counts plus one offset per tail and spin a (the join bond and
+    the tail's count), counted in uint16 pairs whose low byte has the
+    second spin at 0 and whose high byte has it at 1.  Nothing outlives the
+    call, and no temporary exceeds bincount's intp copy of a block.
     """
-    ne = np.not_equal.outer(np.arange(q), np.arange(q)).view(np.uint8)
-    # cnt[last spin, earlier spins after the first]: the first spin is 0, and
-    # the bond (first, second) starts the count.
-    cnt = ne[:, :1]
-    for _ in range(N - 2):
-        # The new spin goes on the slow axis, so numpy's inner loops run
-        # over the long run of earlier chains.
-        cnt = (ne[:, :, None] + cnt[None, :, :]).reshape(q, -1)
-    cnt = cnt + ne[:, :1]  # the periodic bond (last, first), broadcast along each row
-    # Counted two at a time: each uint16 pair indexes a (N + 1) x 256 table
-    # of (one byte, the other), folded along both axes.
-    flat = cnt.ravel()
-    pairs = flat[:flat.size - flat.size % 2].view(np.uint16)
+    # A chain of at most 3 sites has no bond without spin 0 or spin 1 in it.
+    ne = np.not_equal.outer(np.arange(q), np.arange(q if N > 3 else 2)).view(np.uint8)
+
+    def grow(cnt):
+        # cnt[spin i, ...] -> cnt[spin i + 1, spin i, ...]: the new spin goes
+        # on the slow axis, so numpy's inner loops run over the long axis.
+        return (ne[:, :len(cnt), None] + cnt[None]).reshape(q, -1)
+
+    head, rest = ne[:2, :1], N - 2  # head[second spin, 0] is the bond (first, second)
+    while rest and head.size * q <= _BLOCK // 8:
+        head, rest = grow(head), rest - 1
+    tail = np.zeros((len(head), 1), dtype=np.uint8)
+    for _ in range(rest):
+        tail = grow(tail)
+    # offsets[tail, spin a]: the join bond, the tail's bonds and the periodic bond
+    offsets = (tail + ne[:len(tail), :1]).reshape(-1, len(head))
+    blocks = np.empty((min(_BLOCK // head.size, len(offsets)),) + head.shape, dtype=np.uint8)
     table = np.zeros(256 * (N + 1), dtype=np.int64)
-    for start in range(0, pairs.size, _CHUNK):
-        table += np.bincount(pairs[start:start + _CHUNK], minlength=table.size)
-    table = table.reshape(N + 1, 256)
-    hist = table.sum(axis=1) + table.sum(axis=0)[:N + 1]
-    if flat.size % 2:
-        hist[flat[-1]] += 1
-    return q * hist
+    for start in range(0, len(offsets), len(blocks)):
+        block = blocks[:len(offsets) - start]  # the last block may be partial
+        np.add(head, offsets[start:start + len(block), :, None], out=block)
+        table += np.bincount(block.reshape(-1).view("<u2"), minlength=table.size)
+    table = table.reshape(N + 1, 256)  # table[high byte, low byte]
+    return q * (table.sum(axis=0)[:N + 1] + (q - 1) * table.sum(axis=1))
 
 
 def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> float:
@@ -172,8 +182,9 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
     exp(w * (2k - N)), w = beta*J + h, depends on nothing else; the sum is
     a log-sum-exp over the at most N + 1 occupied levels, so neither the
     weights nor the total can overflow.  The histogram of k comes from the
-    q^(N-1) chains with the first spin fixed, times q (the spin-relabelling
-    symmetry), in about q^(N-1) bytes; the cap still bounds q^N.  A
+    2 q^(N-2) chains with the first spin at 0 and the second at 0 or 1,
+    weighted by the spin-relabelling symmetry and counted in 32 KiB blocks,
+    so the working set stays under 256 KiB; the cap still bounds q^N.  A
     ValueError names the point where ln Z_N leaves double range.
     """
     N = int(check_domain("N", N))
@@ -224,7 +235,10 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
     Converges to the bulk free energy; for even N the gap is bounded by
     ln(q) / (beta * N) and shrinks geometrically in N.
     """
-    ln_z = partition_function(params, state, N)
+    return _free_energy_per_site(params, state, N, partition_function(params, state, N))
+
+
+def _free_energy_per_site(params: ModelParams, state: ThermoState, N: int, ln_z: float) -> float:
     f = -ln_z * state.T / N
     if not math.isfinite(f):  # ln Z_N * T can overflow where f does not
         f = -(ln_z / N) * state.T
@@ -262,7 +276,7 @@ def three_route_report(params: ModelParams, state: ThermoState, N: int) -> Oracl
         ln_Z_enumeration=ln_enum,
         ln_Z_trace_power=ln_trace,
         ln_Z_eigen=ln_eigen,
-        finite_N_free_energy=finite_N_free_energy(params, state, N),
+        finite_N_free_energy=_free_energy_per_site(params, state, N, ln_eigen),
         max_relative_discrepancy=worst,
     )
 

@@ -10,7 +10,7 @@ from potts1d import ModelParams, ThermoState, free_energy, three_route_report
 from potts1d.model import SpinConfig, config_energy
 from potts1d.oracle import (
     MAX_ENUMERATED_CONFIGS,
-    _CHUNK,
+    _BLOCK,
     _bond_count_histogram,
     enumerate_partition,
     finite_N_free_energy,
@@ -87,15 +87,18 @@ def test_bond_count_histogram_is_the_cycle_colouring_count():
 
 
 def test_bond_count_histogram_memory_at_the_cap_edge():
-    # one byte per chain with the first spin fixed, 3^12 = 531441 bytes,
-    # where building all 3^13 chains took 2.03 MiB
-    tracemalloc.start()
-    try:
-        _bond_count_histogram(3, 13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 2**20
+    # one 32 KiB block at a time, where one byte per chain with the first spin
+    # fixed peaked at 0.8-2.0 MiB on these chains (the q x q inequality table
+    # alone was 2 MiB at q = 1414)
+    for q, n in ((2, 20), (3, 13), (4, 10), (5, 9), (1414, 2)):
+        assert q**n <= MAX_ENUMERATED_CONFIGS < (q + 1) ** n
+        tracemalloc.start()
+        try:
+            _bond_count_histogram(q, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10, (q, n, peak)
 
 
 @pytest.mark.parametrize("q, n", [(2, 20), (3, 13), (1414, 2)])
@@ -168,13 +171,17 @@ def test_enumeration_needs_two_sites():
 
 
 def test_enumeration_spans_chunk_boundaries():
-    # 4^10 chains visit 4^9 = 262144 with the first spin fixed, several
-    # 65536-long chunks
-    assert 4**9 >= 4 * _CHUNK
-    params = ModelParams(4, 0.31, -0.17)
+    # 3^12 chains visit 2 * 3^10 = 118098 with the first two spins fixed: 81
+    # heads of 2 * 3^6 = 1458 bytes (2 * 3^7 exceeds an eighth of a block),
+    # 22 heads to a block, so three full blocks and a last one of 15 heads
+    head = 2 * 3**6
+    assert head <= _BLOCK // 8 < 3 * head
+    per_block, heads = _BLOCK // head, 2 * 3**10 // head
+    assert heads // per_block == 3 and heads % per_block == 15
+    params = ModelParams(3, 0.31, -0.17)
     state = ThermoState(1.1)
-    assert enumerate_partition(params, state, 10) == pytest.approx(
-        partition_function(params, state, 10), rel=1e-12
+    assert enumerate_partition(params, state, 12) == pytest.approx(
+        partition_function(params, state, 12), rel=1e-12
     )
 
 
@@ -302,6 +309,22 @@ def test_three_route_report():
         abs(a - b) / max(abs(a), abs(b)) for a, b in itertools.combinations(vals, 2)
     )
     assert report.max_relative_discrepancy == pytest.approx(worst, rel=1e-12, abs=1e-18)
+
+
+def test_three_route_report_evaluates_the_eigen_route_once(monkeypatch):
+    import potts1d.oracle as oracle
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return partition_function(*args)
+
+    monkeypatch.setattr(oracle, "partition_function", counting)
+    params, state = POINT
+    report = three_route_report(params, state, 6)
+    assert calls == [(params, state, 6)]
+    assert report.finite_N_free_energy == finite_N_free_energy(params, state, 6)
 
 
 def test_three_route_agreement_grid():
