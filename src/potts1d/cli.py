@@ -6,9 +6,10 @@ endings, so every double round-trips exactly.  JSON text is what json.dumps
 gives, numbers at full precision.  Cells are spelled by numtext, whole
 arrays at a time and byte for byte as Python spells them: a column that
 repeats over the grid once per value along its grid line, the others in
-blocks of 1,024 rows.  Text is written in pieces of 256 rows as it is made,
-so the whole table is never held as text.  A JSON config file can mirror any
-flag; explicit flags take precedence over file values.
+blocks of whole lines of the grid's last axis, up to 2,048 rows (or 2,048-row
+slices of a longer line).  Text is written in pieces of 256 rows as it is
+made, so the whole table is never held as text.  A JSON config file can
+mirror any flag; explicit flags take precedence over file values.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 `e16(x)` spells every value as `'%.16e' % v` and `shortest(x)` as
 `json.dumps(v)` (which is `repr(v)` for a finite v), byte for byte.  Each
-returns one WIDTH-byte ASCII field per value, both in the one layout given
-at WIDTH, padded with zero bytes that may sit anywhere in the field: the
-text is the field with its zero bytes removed.
+returns one fixed-width ASCII field per value, in a layout of its own (see
+E16_WIDTH and WIDTH), padded with zero bytes that may sit anywhere in the
+field: the text is the field with its zero bytes removed.
 
 The digits come from V = |x| * 10**(16 - k), with 10**k <= |x| < 10**(k+1),
 computed in double-double arithmetic from a table 10**s = (hi + lo) * 2**t
@@ -28,19 +28,22 @@ import math
 
 import numpy as np
 
-# A field is four little-endian 8-byte words:
+# A `shortest` field is four little-endian 8-byte words:
 #   word 0     the sign and a 0.000 prefix ('0.' and up to three '0')
 #   words 1-3  the 17 digits from the first byte of word 1 on, those after the
 #              point one byte up to make room for it; from byte 2 of word 3,
 #              '.0' or 'e', the exponent's sign and two or three digits
 WIDTH = 32
+# An `e16` field is three words, fixed: the sign, d1 and '.' in bytes 0-2, the
+# other 16 digits in bytes 3-18, and 'e', the exponent's sign and two or three
+# digits from byte 19 on.
+E16_WIDTH = 24
 
-# Rows per block the varying columns of a table are spelled and assembled in:
-# one call per block, so the per-call cost of numpy is spread over 1,024 rows.
-BLOCK_ROWS = 1024
-# Rows per piece of text a block is returned in (about 300 bytes a row).
-# Returning whole blocks left a process that also parses the output about
-# 1 MiB larger.
+# Rows per block, at most: a block of rows_text holds as many whole lines of
+# the grid's fastest axis as fit, or BLOCK_ROWS rows of one longer line.
+BLOCK_ROWS = 2048
+# Rows per piece of text a block is returned in (about 300 bytes a row): whole
+# blocks left a process that also parses the output about 1 MiB larger.
 PIECE_ROWS = 256
 
 # A value this close (in units of the last of 17 digits) to a rounding or
@@ -60,7 +63,7 @@ _DOTS = np.uint64(int.from_bytes(b"." * 8, "little"))
 
 @functools.cache
 def _tables():
-    """The power-of-ten table and the byte tables of the field layout."""
+    """The power-of-ten table and the byte tables of the field layouts."""
     hi, lo, t = [], [], []
     for s in range(_S_MIN, _S_MAX + 1):
         # x = floor(10**s * 2**(120 - t)) with 10**s / 2**t in [1, 2)
@@ -155,41 +158,38 @@ def _shortest(a, k, whole, frac):
     edge = frac + half_gap
     undecided |= np.abs(edge - np.rint(edge)) <= tol
     last = whole + np.ceil(edge).astype(np.int64) - 1
-    # first..last holds a multiple of 10**j iff last % 10**j <= last - first;
-    # if it does for j, it does for every smaller j.  Find the largest j.
+    # first..last holds a multiple of 10**j iff last % 10**j <= last - first,
+    # and then of every smaller power: walk j up, and whole // 10**j with it, by
+    # scalar divisors.  (x - x // p * p: numpy's x % p is several times slower)
     span = last - first
-    # (x - x // p * p: numpy's x % p is several times slower)
-    j = np.zeros(a.size, dtype=np.int64)
+    j, quot = np.zeros(a.size, dtype=np.int64), whole.copy()
     live = np.flatnonzero(last - last // 10 * 10 <= span)
-    for power in _POW10[2:]:
+    for power in _POW10[1:]:  # live: the rows whose range holds a multiple of power
+        j[live] += 1
+        quot[live] = whole[live] // power
+        tail = last[live]
+        live = live[tail - tail // (10 * power) * (10 * power) <= span[live]] if power < _TEN16 else live[:0]
         if live.size == 0:
             break
-        j[live] += 1
-        tail = last[live]
-        live = live[tail - tail // power * power <= span[live]]
-    j[live] += 1
     # Of the multiples of 10**j in range, repr takes the nearest.
     p = _POW10[j]
-    quot = whole // p
     rem = (whole - quot * p) + frac
     undecided |= np.abs(rem - 0.5 * p) <= tol
     quot += rem > 0.5 * p
     return quot * p, 17 - j, undecided
 
 
-def _layout(digits, count, decpt, negative, scientific) -> np.ndarray:
-    """Fields for the values 0.d1d2...d17 * 10**decpt, digits given as a
-    17-digit integer of which the first `count` are shown, in Python's
-    scientific (%e) or fixed (repr) layout."""
+def _layout(digits, count, decpt, negative) -> np.ndarray:
+    """`shortest` fields for the values 0.d1d2...d17 * 10**decpt, digits given
+    as a 17-digit integer of which the first `count` are shown, in repr's
+    scientific or fixed layout."""
     prefix, quad, suffix, below = _tables()[3:]
-    if np.ndim(scientific):  # repr: fixed or scientific by value
-        lead = np.where(scientific, 1, decpt)  # digits before the point
-        point = np.where((lead > 0) & (lead < count), lead, 24)  # 24: none
-        shown = np.maximum(count, lead)
-        zeros = np.maximum(1 - lead, 0)  # of '0.000'
-        end = np.where(scientific, decpt + (1 - _E_MIN), lead >= count)
-    else:  # %e: all 17 digits, the point after the first
-        point, shown, zeros, end = np.array([1]), np.array([17]), 0, decpt + (1 - _E_MIN)
+    scientific = (decpt <= -4) | (decpt > 16)  # repr's rule
+    lead = np.where(scientific, 1, decpt)  # digits before the point
+    point = np.where((lead > 0) & (lead < count), lead, 24)  # 24: none
+    shown = np.maximum(count, lead)
+    zeros = np.maximum(1 - lead, 0)  # of '0.000'
+    end = np.where(scientific, decpt + (1 - _E_MIN), lead >= count)
     words = np.empty((3, digits.size), dtype=np.uint64)
     high = digits // 10**9  # digits 1-8, then 9-17
     low = digits - high * 10**9
@@ -220,52 +220,64 @@ def _layout(digits, count, decpt, negative, scientific) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def pack(texts) -> np.ndarray:
-    """Fields for ASCII strings; one longer than WIDTH raises ValueError."""
+def _e16_layout(digits, decpt, negative) -> np.ndarray:
+    """`e16` fields for the values 0.d1d2...d17 * 10**decpt, digits a 17-digit integer."""
+    quad, suffix = _tables()[4:6]
+    top = digits // 10**8
+    first, low = top // 10**8, digits - top * 10**8
+    # digits 2-9, then 10-17, each as one 8-byte word of two groups of four
+    high, low = (quad.take(g) | quad.take(v - g * 10**4) << 32 for v in (top - first * 10**8, low) for g in [v // 10**4])
+    out = np.empty((digits.size, 3), dtype="<u8")
+    out[:, 0] = negative * np.uint64(ord("-")) | first.view(np.uint64) << 8 | high << 24 | np.uint64(0x2E3000)  # '0', '.'
+    out[:, 1] = high >> 40 | low << 24
+    out[:, 2] = low >> 40 | suffix.take(decpt + (1 - _E_MIN)) << 8  # 'e' from byte 2 to 3
+    return out.view(np.uint8)
+
+
+def pack(texts, width: int = WIDTH) -> np.ndarray:
+    """Fields of `width` bytes for ASCII strings; a longer one raises ValueError."""
     fields = np.array([s.encode("ascii") for s in texts], dtype="S")
-    if fields.dtype.itemsize > WIDTH:
-        raise ValueError(f"text of {fields.dtype.itemsize} characters does not fit a {WIDTH}-byte field")
-    return fields.astype(f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+    if fields.dtype.itemsize > width:
+        raise ValueError(f"text of {fields.dtype.itemsize} characters does not fit a {width}-byte field")
+    return fields.astype(f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def _spell(x, shortest: bool, python) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
     slow = ~(np.isfinite(a) & (a > 0.0))
-    a[slow] = 1.0  # spelled by Python below
+    a[slow] = 0.30000000000000004  # spelled by Python below; 17 digits: a short search
     k, whole, frac = _decimal(a)
     if shortest:
         digits, count, undecided = _shortest(a, k, whole, frac)
     else:
         digits = whole + (frac > 0.5)  # rounded to nearest; ties are left undecided
         undecided = np.abs(frac - 0.5) <= TOLERANCE
-        count = 17
     del a, whole, frac
     carry = digits == _TEN17
     digits[carry] = _TEN16
+    decpt = k + 1 + carry  # the value is 0.d1d2... * 10**decpt
     if shortest:
         count[carry] = 1
-    decpt = k + 1 + carry  # the value is 0.d1d2... * 10**decpt
-    del k
-    # repr's rule; %e is always scientific
-    scientific = (decpt <= -4) | (decpt > 16) if shortest else np.True_
-    out = _layout(digits, count, decpt, np.signbit(x), scientific)
+        out = _layout(digits, count, decpt, np.signbit(x))
+    else:
+        out = _e16_layout(digits, decpt, np.signbit(x))
     # The rest is spelled by Python, once per distinct bit pattern.
     rest = np.flatnonzero(slow | undecided)
     if rest.size:
         distinct, inverse = np.unique(x[rest].view(np.int64), return_inverse=True)
-        out[rest] = pack(map(python, distinct.view(np.float64).tolist()))[inverse]
+        out[rest] = pack(map(python, distinct.view(np.float64).tolist()), out.shape[1])[inverse]
     return out
 
 
 def e16(x) -> np.ndarray:
-    """Fields spelling each value of x as '%.16e' % v."""
+    """E16_WIDTH-byte fields spelling each value of x as '%.16e' % v."""
     return _spell(x, False, "%.16e".__mod__)
 
 
 def shortest(x) -> np.ndarray:
-    """Fields spelling each value of x as json.dumps(v), which for a finite v
-    is repr(v): the shortest digits that read back as v."""
+    """WIDTH-byte fields spelling each value of x as json.dumps(v), which for
+    a finite v is repr(v): the shortest digits that read back as v."""
     return _spell(x, True, json.dumps)
 
 
@@ -291,45 +303,58 @@ def rows_text(columns, grid: tuple[int, ...], spell, before: str, between: str, 
     `before`, its cells joined by `between`, then `after`.  Float cells are
     spelled by `spell` (e16 or shortest), integer cells by str.
 
-    A column that repeats over the grid (a constant, or one that varies along
-    a single axis) is spelled once per value along its grid line, and those
-    texts packed at the width of the longest.  The others are spelled in
-    blocks of BLOCK_ROWS rows, all those of one dtype in one call."""
+    A column that varies along one grid axis at most is spelled once per value
+    of its line, all float lines in one call, at the width of its longest
+    text.  Blocks of rows never straddle a fastest-axis line; their template
+    holds the separators, the constants and whole fastest-axis lines, and a
+    slower axis's line costs one gather per block.  The other columns are
+    spelled per block, those of one dtype in one call."""
 
     def cells(values: np.ndarray) -> np.ndarray:
         return pack(map(str, values.tolist())) if values.dtype.kind in "iu" else spell(values)
 
     def tight(fields: np.ndarray) -> np.ndarray:  # texts at the width of the longest
-        texts = np.array([f.tobytes().translate(None, b"\0") for f in fields], dtype="S")
-        return texts.view(np.uint8).reshape(len(fields), -1)
+        text = fields != 0  # sorted to the front, in order
+        return np.take_along_axis(fields, np.argsort(~text, axis=1, kind="stable"), axis=1)[:, :text.sum(1).max()]
 
-    n = columns[0].size
-    shape = (1,) + tuple(grid)
-    repeats = [_repeat(c, shape) for c in columns]
-    lines = [None if r is None else (tight(cells(r[0])), r[1]) for r in repeats]
+    n, size = columns[0].size, grid[-1]
+    repeats = [_repeat(c, (1,) + tuple(grid)) for c in columns]
+    floats = [r[0] for r in repeats if r is not None and r[0].dtype.kind == "f"]
+    spelled = iter(np.split(spell(np.concatenate(floats)), np.cumsum([f.size for f in floats])) if floats else ())
+    lines = [r and (tight(next(spelled) if r[0].dtype.kind == "f" else cells(r[0])), r[1]) for r in repeats]
     varying = [i for i, r in enumerate(repeats) if r is None]
-    dtypes = dict.fromkeys(columns[i].dtype for i in varying)
-    groups = [[i for i in varying if columns[i].dtype == dtype] for dtype in dtypes]
-    # A block of rows whose separators, and constant cells, are written once;
-    # the field of a cell is a slice of its columns.
-    texts = [before] + [between] * (len(columns) - 1) + [after]
-    widths = [WIDTH if line is None else line[0].shape[1] for line in lines] + [0]
-    row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
-    block = np.tile(np.frombuffer(row, dtype=np.uint8), (BLOCK_ROWS, 1))
-    ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
-    fields = [block[:, end - width:end] for end, width in zip(ends, widths)]
-    for field, line in zip(fields, lines):
-        if line is not None and len(line[0]) == 1:
-            field[:] = line[0]
-    for lo in range(0, n, BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + BLOCK_ROWS, n))
-        for field, line in zip(fields, lines):
-            if line is not None and len(line[0]) > 1:
-                field[:rows.size] = np.take(line[0], rows // line[1] % len(line[0]), axis=0)
-        for group in groups:
-            spelled = cells(np.concatenate([columns[i][lo:lo + rows.size] for i in group]))
-            for i, part in zip(group, spelled.reshape(len(group), rows.size, WIDTH)):
-                fields[i][:rows.size] = part
-        for first in range(0, rows.size, PIECE_ROWS):
+    groups = [[i for i in varying if columns[i].dtype == dtype] for dtype in dict.fromkeys(columns[i].dtype for i in varying)]
+    per = BLOCK_ROWS // size  # whole fastest-axis lines a block holds; 0: a slice of one
+    capacity = per * size or BLOCK_ROWS
+    span = max(size, capacity)  # no block straddles a multiple of span
+    bounds = [(lo, min(lo + capacity, line + span, n)) for line in range(0, n, span) for lo in range(line, line + span, capacity)]
+    fixed = [line is not None and (len(line[0]) == 1 or per and line[1] == 1 < size) for line in lines]  # in the template
+    block = None
+    for lo, hi in bounds:
+        m = hi - lo
+        spelled = {i: part for group in groups for i, part in
+                   zip(group, cells(np.concatenate([columns[i][lo:hi] for i in group])).reshape(len(group), m, -1))}
+        if block is None:  # a cell's field is a slice of the block's rows
+            texts = [before] + [between] * (len(columns) - 1) + [after]
+            widths = [spelled[i].shape[1] if line is None else line[0].shape[1] for i, line in enumerate(lines)] + [0]
+            row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
+            block = np.tile(np.frombuffer(row, dtype=np.uint8), (capacity, 1))
+            ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
+            fields = [block[:, end - width:end] for end, width in zip(ends, widths)]
+        for field, line, once in zip(fields, lines, fixed):
+            if line is None or once and lo:
+                continue
+            text, stride = line
+            if once:  # into the template, at the first block
+                field.reshape(-1, len(text), field.shape[1])[:] = text
+            elif stride == 1 < size:  # a slice of the fastest axis's line
+                field[:m] = text[lo % size:lo % size + m]
+            elif per:  # one value per fastest-axis line
+                field[:m].reshape(-1, size, field.shape[1])[:] = text[np.arange(lo, hi, size) // stride % len(text), None]
+            else:
+                field[:m] = text[lo // stride % len(text)]
+        for i, part in spelled.items():
+            fields[i][:m] = part
+        for first in range(0, m, PIECE_ROWS):
             # the zero bytes that pad each field are not text
-            yield block[first:min(first + PIECE_ROWS, rows.size)].tobytes().translate(None, b"\0").decode("ascii")
+            yield block[first:min(first + PIECE_ROWS, m)].tobytes().translate(None, b"\0").decode("ascii")

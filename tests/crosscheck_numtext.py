@@ -1,4 +1,5 @@
-"""Cross-check of numtext against Python's own spelling of 3 x 10**6 doubles.
+"""Cross-check of numtext against Python's own spelling of 3 x 10**6 doubles
+and of seeded random tables.
 
     PYTHONPATH=src python tests/crosscheck_numtext.py [--seed N] [--count N]
 
@@ -7,9 +8,12 @@ bit patterns (every kind of double: nan payloads, infinities, subnormals),
 log-uniform magnitudes in [1e-6, 1e18] of either sign (every decimal
 exponent for which repr writes fixed notation) and integers near 2**53 of
 either sign.  Every value is spelled by numtext.e16 and numtext.shortest and
-compared with '%.16e' % v and json.dumps(v).  Prints the mismatch counts and
-exits 1 on any mismatch.  Its name keeps it out of the pytest run; it takes
-about half a minute.
+compared with '%.16e' % v and json.dumps(v).  Then TABLES seeded random
+grids of 1 or 2 axes (2 to 5,000 points on the fastest) with constant, line
+and varying columns, float and int, go through numtext.rows_text in both
+spellings, and each row is compared with the row spelled cell by cell by
+Python.  Prints the mismatch counts and exits 1 on any mismatch.  Its name
+keeps it out of the pytest run; it takes under a minute.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import numpy as np
 from potts1d import numtext
 
 CHUNK = 1 << 16
+# Random tables per spelling, and the most rows one may have.
+TABLES = 40
+MAX_ROWS = 12_000
 
 
 def populations(rng: np.random.Generator, count: int):
@@ -41,6 +48,38 @@ def mismatches(values: np.ndarray, spell, python) -> int:
     return sum(g != python(v) for g, v in zip(got, values.tolist()))
 
 
+def random_table(rng: np.random.Generator):
+    """(columns, grid) of a random grid: each column is constant, a line
+    along one axis, or varying, with float64 or int64 values."""
+    fastest = int(rng.integers(2, 5001))
+    grid = (fastest,) if rng.random() < 0.3 else (int(rng.integers(2, max(3, MAX_ROWS // fastest + 1))), fastest)
+    columns = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.integers(len(grid) + 2)  # 0: constant, 1: varying, else a line along axis kind - 2
+        shape = (1,) * len(grid) if kind == 0 else grid if kind == 1 else tuple(
+            size if axis == kind - 2 else 1 for axis, size in enumerate(grid))
+        count = int(np.prod(shape))
+        if rng.random() < 0.25:
+            values = rng.integers(-(2**63), 2**63 - 1, count, endpoint=True)
+        elif rng.random() < 0.5:
+            values = np.frombuffer(rng.bytes(8 * count), dtype=np.float64)
+        else:  # magnitudes like those of a sweep's cells
+            values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12.0, 12.0, count)
+        columns.append(np.broadcast_to(values.reshape(shape), grid).ravel())
+    return columns, grid
+
+
+def table_mismatches(rng: np.random.Generator, spell, python) -> int:
+    """Rows of random tables whose rows_text differs from Python's text."""
+    bad = 0
+    for _ in range(TABLES):
+        columns, grid = random_table(rng)
+        got = "".join(numtext.rows_text(columns, grid, spell, "[", ",", "]\n")).split("\n")[:-1]
+        cells = [[str(v) if c.dtype.kind == "i" else python(v) for v in c.tolist()] for c in columns]
+        bad += sum(g != "[" + ",".join(row) + "]" for g, row in zip(got, zip(*cells))) + abs(len(got) - columns[0].size)
+    return bad
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=20261018)
@@ -57,7 +96,11 @@ def main(argv=None) -> int:
         print(f"{name}: {values.size} doubles, mismatches " + ", ".join(f"{k} {v}" for k, v in counts.items()))
         total += values.size
         bad += sum(counts.values())
-    print(f"{total} doubles, {bad} mismatches")
+    counts = {name: table_mismatches(rng, spell, python) for name, spell, python in
+              (("%.16e", numtext.e16, "%.16e".__mod__), ("json.dumps", numtext.shortest, json.dumps))}
+    print(f"rows_text: {TABLES} random tables per spelling, mismatched rows " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+    bad += sum(counts.values())
+    print(f"{total} doubles and {2 * TABLES} tables, {bad} mismatches")
     return 1 if bad else 0
 
 

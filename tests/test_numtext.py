@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from potts1d import ModelParams, ThermoState, numtext
 from potts1d.cli import table_to_csv, table_to_json
-from potts1d.sweep import GridSpec, sweep_2d
+from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
 
 
 def _texts(fields):
@@ -96,14 +96,46 @@ def test_tables_are_written_as_python_spells_each_cell():
         "J": GridSpec("J", -12.0, 12.0, 57),
         "q": GridSpec("q", 2.0, 38.0, 37),
     }
-    pairs = [(x, y) for x in grids for y in grids if x != y]
-    for x, y in pairs:  # every axis pair, each over several 1,024-row blocks
-        table = sweep_2d(ModelParams(16, -0.0, 0.5), ThermoState(0.7), grids[x], grids[y])
-        assert len(table) > 2 * 1024
+    base = ModelParams(16, -0.0, 0.5), ThermoState(0.7)
+    tables = []
+    for x, y in [(x, y) for x in grids for y in grids if x != y]:  # every axis pair, each over two blocks or more
+        tables.append(sweep_2d(*base, grids[x], grids[y]))
+        assert len(tables[-1]) > numtext.BLOCK_ROWS
+    tables += [
+        # a fastest-axis line longer than a block, so blocks are slices of it
+        sweep_2d(*base, GridSpec("h", -3.0, 3.0, 3), GridSpec("beta", 0.001, 30.0, numtext.BLOCK_ROWS + 7)),
+        # a fastest axis that does not divide the block budget
+        sweep_2d(*base, GridSpec("J", -12.0, 12.0, 45), GridSpec("T", 0.05, 20.0, 97)),
+        # q, an int line, as the fastest axis over three blocks
+        sweep_2d(*base, GridSpec("h", -3.0, 3.0, 130), GridSpec("q", 2.0, 38.0, 37)),
+        # a 1-D sweep over four blocks
+        sweep_1d(*base, GridSpec("J", -12.0, 12.0, 3 * numtext.BLOCK_ROWS + 5)),
+    ]
+    for table in tables:
         csv, text = io.StringIO(), io.StringIO()
         table_to_csv(table, csv)
         table_to_json(table, text)
-        assert (csv.getvalue(), text.getvalue()) == _reference_text(table), (x, y)
+        assert (csv.getvalue(), text.getvalue()) == _reference_text(table), [g.axis for g in table.axes]
+
+
+def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
+    grid = (200, 121)
+    table = sweep_2d(ModelParams(3, 0.5, 0.1), ThermoState(1.0), GridSpec("beta", 0.001, 30.0, grid[0]),
+                     GridSpec("h", -3.0, 3.0, grid[1]))
+    columns = table.coords + tuple(table.columns.values())
+    # the float lines: beta and h as coordinates, then beta, T, h and the constant J
+    lines = 200 + 121 + 200 + 200 + 121 + 1
+    rows = numtext.BLOCK_ROWS // 121 * 121  # whole fastest-axis lines per block
+    blocks = [rows] * (len(table) // rows) + [len(table) % rows]
+    for spell in (numtext.e16, numtext.shortest):
+        sizes = []
+
+        def spy(values, spell=spell):
+            sizes.append(values.size)
+            return spell(values)
+
+        assert "".join(numtext.rows_text(columns, grid, spy, "", ",", "\n")).count("\n") == len(table)
+        assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
 
 
 def test_longest_spellings_survive_rows_text():
