@@ -1,23 +1,26 @@
 """Exact float64-to-text conversion over whole numpy arrays.
 
 `e16(x)` spells every value as `'%.16e' % v` and `shortest(x)` as
-`json.dumps(v)` (which is `repr(v)` for a finite v), byte for byte.  Each
-returns one fixed-width ASCII field per value, in a layout of its own (see
-E16_WIDTH and WIDTH), padded with zero bytes that may sit anywhere in the
-field: the text is the field with its zero bytes removed.
+`json.dumps(v)` (`repr(v)` for a finite v), byte for byte, each as one
+WIDTH-byte ASCII field per value, padded with zero bytes that may sit
+anywhere in it: the text is the field with its zero bytes removed.
 
 The digits come from V = |x| * 10**(16 - k), with 10**k <= |x| < 10**(k+1),
 computed in double-double arithmetic from a table 10**s = (hi + lo) * 2**t
-that is built once, with integers, on first use.  The error of V is below
-1e-13, so the 17 rounded digits (`%.16e`) and the shortest digits that read
-back as x (`repr`) follow from V alone, except within TOLERANCE of a
-rounding or round-trip boundary.  Such values, and zeros, non-finite values
-and powers of two (whose round-trip interval is lopsided), are spelled by
-Python itself.  The method is the fixed-precision half of Ryu-style
-conversion (Adams, PLDI 2018), done as array passes.
-
-`rows_text` joins such fields, column arrays laid out on a grid, into the
-text of delimited rows (CSV lines, JSON arrays) and drops the padding.
+that is built once, with integers, on first use.  V is good to 1e-13, so the
+17 rounded digits (`%.16e`) and the shortest digits that read back as x
+(`repr`) follow from V alone, except within TOLERANCE of a rounding or
+round-trip boundary.  The shortest digits take no search: the round-trip
+range of a normal double is under 23 units of V wide, so whether it holds a
+multiple of 10, or one of 100, and the trailing zeros of that multiple of 100
+give the digit count.  Boundary values, non-finite values, powers of two of
+over 15 digits (whose range is lopsided) and subnormals whose range may hold
+two multiples of 100 are spelled by Python.  The method is the
+fixed-precision half of Ryu-style conversion (Adams, PLDI 2018), done as
+array passes.  A `shortest` field is the `e16` field of its digits with bytes
+cleared and moved per row (see _tables).  `rows_text` joins fields of columns
+laid out on a grid into delimited rows (CSV lines, JSON arrays) and drops the
+padding.
 """
 
 from __future__ import annotations
@@ -28,16 +31,11 @@ import math
 
 import numpy as np
 
-# A `shortest` field is four little-endian 8-byte words:
-#   word 0     the sign and a 0.000 prefix ('0.' and up to three '0')
-#   words 1-3  the 17 digits from the first byte of word 1 on, those after the
-#              point one byte up to make room for it; from byte 2 of word 3,
-#              '.0' or 'e', the exponent's sign and two or three digits
-WIDTH = 32
-# An `e16` field is three words, fixed: the sign, d1 and '.' in bytes 0-2, the
-# other 16 digits in bytes 3-18, and 'e', the exponent's sign and two or three
-# digits from byte 19 on.
-E16_WIDTH = 24
+# A field is three little-endian 8-byte words.  As `e16` spells it: the sign,
+# d1 and '.' in bytes 0-2, the other 16 digits in bytes 3-18, and 'e', the
+# exponent's sign and two or three digits from byte 19 on.  `shortest` keeps
+# some of those bytes in place and moves the others up (see _tables).
+WIDTH = 24
 
 # Rows per block, at most: a block of rows_text holds as many whole lines of
 # the grid's fastest axis as fit, or BLOCK_ROWS rows of one longer line.
@@ -57,13 +55,11 @@ _S_MIN, _S_MAX = -300, 345
 # largest double.
 _E_MIN, _E_MAX = -324, 308
 _TEN16, _TEN17 = 10**16, 10**17
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
-_DOTS = np.uint64(int.from_bytes(b"." * 8, "little"))
 
 
 @functools.cache
 def _tables():
-    """The power-of-ten table and the byte tables of the field layouts."""
+    """The power-of-ten table and the byte tables of the field layout."""
     hi, lo, t = [], [], []
     for s in range(_S_MIN, _S_MAX + 1):
         # x = floor(10**s * 2**(120 - t)) with 10**s / 2**t in [1, 2)
@@ -73,22 +69,42 @@ def _tables():
         h = float(x)
         hi.append(h)
         lo.append(float(x - int(h)))
-    hi = np.ldexp(np.array(hi), -120)
-    lo = np.ldexp(np.array(lo), -120)
-    t = np.array(t, dtype=np.int64)
+    hi, lo, t = np.ldexp(np.array(hi), -120), np.ldexp(np.array(lo), -120), np.array(t, dtype=np.int64)
 
     def words(texts):  # byte strings of up to 8 bytes as little-endian words
         return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)
 
-    # word 0 by (sign, zeros of a 0.000 prefix plus one or none)
-    prefix = words(sign + (b"0." + b"0" * (z - 1) if z else b"") for sign in (b"", b"-") for z in range(5))
     # the digits of each group 0000..9999, in the low half of a word
     quad = words(b"%04d" % v for v in range(10_000))
-    # the end of word 3: nothing, '.0', or an exponent
-    suffix = words([b"", b"\0\0.0"] + [b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)])
-    # below[:, j] keeps the bytes of words 1-3 before their byte j, j in 0..25
-    below = ~(np.uint64(2**64 - 1) << (8 * np.clip(np.arange(26) - [[0], [8], [16]], 0, 8)).astype(np.uint64))
-    return hi, lo, t, prefix, quad, suffix, below
+    # 'e', the exponent's sign and digits, from byte 2 of a word
+    suffix = words(b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1))
+
+    def field(text=b"", at=0, spans=()):  # a field of `text` at byte `at`, 0xff over spans
+        b = bytearray(WIDTH)
+        b[at:at + len(text)] = text
+        for start, end in spans:
+            b[start:end] = b"\xff" * (end - start)
+        return list(np.frombuffer(bytes(b), dtype="<u8"))
+
+    # A `shortest` field by case: each digit count c of d1.d2...dc for each
+    # notation, scientific or 0.d1d2...dc * 10**d with d = -3..16.  It keeps
+    # the bytes `keep` of the `e16` field F, takes the bytes `moved` of F
+    # shifted up `shift` bits, and adds `text`: a 0.000 prefix or a point.
+    shape = []
+    for d in [None] + list(range(-3, 17)):
+        for c in range(1, 18):
+            if d is None:  # d1[.d2...dc]e+XX: the digits not shown are cleared
+                keep, moved, text, shift = [(0, 2 + (c > 1)), (3, c + 2), (19, WIDTH)], [], field(), 0
+            elif d > 0:  # d1...dd.d(d+1)...: the digits after the point move up a byte; .0 is digit d + 1
+                keep, moved, text, shift = [(0, 2), (3, d + 2)], [(d + 3, max(c, d + 1) + 3)], field(b".", d + 2), 8
+            else:  # 0.000d1d2...: the digits move up past the prefix, and F's point is left out
+                keep, moved = [(0, 1)], [(3 - d, 4 - d), (5 - d, c + 4 - d)]
+                text, shift = field(b"0." + b"0" * -d, 1), 8 * (2 - d)
+            shape.append(field(spans=keep) + field(spans=moved) + text + [shift])
+    keep, moved, text, (shift,) = np.split(np.array(shape, dtype=np.uint64).T.copy(), [3, 6, 9])
+    # by the row of the exponent d - 1: the first case of its notation, less one
+    notation = np.array([17 * (-3 <= d <= 16 and d + 4) - 1 for d in range(_E_MIN + 1, _E_MAX + 2)])
+    return hi, lo, t, quad, suffix, keep, moved, text, shift, notation
 
 
 def _product_error(a, b, p):
@@ -107,171 +123,155 @@ def _pow2(e):
     return ((e + 1023) << 52).view(np.float64)
 
 
-def _scaled(a, k):
-    """V = a * 10**(16 - k) as an int64 part and a fraction in [0, 1)."""
+def _scaled(m, e, k):
+    """V = m * 2**e * 10**(16 - k) as an int64 part and a fraction in [0, 1),
+    and the unit 2**e * 10**(16 - k) to its high part (V is about m * unit)."""
     hi, lo, t = _tables()[:3]
     i = 16 - k - _S_MIN
-    m, e = np.frexp(a)
     h = hi[i]
     p = m * h
     tail = _product_error(m, h, p) + m * lo[i]
     scale = _pow2(e + t[i])  # V = p * scale + tail * scale, each product exact
-    p *= scale
-    tail *= scale
+    for v in (p, tail, h):
+        v *= scale
     whole = np.floor(p)
     frac = (p - whole) + tail
     carry = np.floor(frac)
     frac -= carry
-    return whole.astype(np.int64) + carry.astype(np.int64), frac
+    return whole.astype(np.int64) + carry.astype(np.int64), frac, h
 
 
 def _decimal(a):
-    """k, with 10**k <= a < 10**(k+1), and V = a * 10**(16 - k) in [1e16, 1e17)
-    as (int64 part, fraction), for finite a > 0."""
+    """For finite a > 0 = m * 2**e (np.frexp): k, with 10**k <= a < 10**(k+1),
+    V = a * 10**(16 - k) in [1e16, 1e17) as (int64 part, fraction), m, e and
+    the unit of _scaled."""
+    m, e = np.frexp(a)
     k = np.floor(np.log10(a)).astype(np.int64)
-    whole, frac = _scaled(a, k)
+    whole, frac, unit = _scaled(m, e, k)
     for _ in range(2):  # log10 can be off by one next to a power of ten
         off = (whole >= _TEN17).astype(np.int64) - (whole < _TEN16)
         wrong = np.flatnonzero(off)
         if wrong.size == 0:
             break
         k[wrong] += off[wrong]
-        whole[wrong], frac[wrong] = _scaled(a[wrong], k[wrong])
-    return k, whole, frac
+        whole[wrong], frac[wrong], unit[wrong] = _scaled(m[wrong], e[wrong], k[wrong])
+    return k, whole, frac, m, e, unit
 
 
-def _shortest(a, k, whole, frac):
-    """The shortest digits that read back as a: (digits as a 17-digit
+def _shortest(whole, frac, m, e, unit):
+    """The shortest digits that read back as m * 2**e: (digits as a 17-digit
     integer with trailing zeros, digit count, values left undecided)."""
-    m, e = np.frexp(a)
-    undecided = m == 0.5  # a power of two: the gap below is half the gap above
-    # Half the gap to the neighbouring doubles, in units of V; the doubles
-    # read back as a are those strictly within it (ends are ties).
-    hi, _, t = _tables()[:3]
-    i = 16 - k - _S_MIN
-    half_gap = hi[i] * _pow2(np.maximum(e - 53, -1074) - 1 + t[i])
+    # Half the gap to the neighbouring doubles, in units of V (0.55 to 11.1
+    # for a normal double); those that read back as a are strictly within it.
+    half_gap = unit * 2.0**-54
+    sub = np.flatnonzero(e < -1021)
+    if sub.size:  # subnormals: the gap is 2**-1074
+        half_gap[sub] = unit[sub] * _pow2(-1075 - e[sub].astype(np.int64))
     tol = TOLERANCE * (1.0 + half_gap)
-    # The integers first..last lie strictly within half_gap of V.
-    edge = frac - half_gap
-    undecided |= np.abs(edge - np.rint(edge)) <= tol
-    first = whole + np.floor(edge).astype(np.int64) + 1
-    edge = frac + half_gap
-    undecided |= np.abs(edge - np.rint(edge)) <= tol
-    last = whole + np.ceil(edge).astype(np.int64) - 1
-    # first..last holds a multiple of 10**j iff last % 10**j <= last - first,
-    # and then of every smaller power: walk j up, and whole // 10**j with it, by
-    # scalar divisors.  (x - x // p * p: numpy's x % p is several times slower)
-    span = last - first
-    j, quot = np.zeros(a.size, dtype=np.int64), whole.copy()
-    live = np.flatnonzero(last - last // 10 * 10 <= span)
-    for power in _POW10[1:]:  # live: the rows whose range holds a multiple of power
-        j[live] += 1
-        quot[live] = whole[live] // power
-        tail = last[live]
-        live = live[tail - tail // (10 * power) * (10 * power) <= span[live]] if power < _TEN16 else live[:0]
-        if live.size == 0:
-            break
-    # Of the multiples of 10**j in range, repr takes the nearest.
-    p = _POW10[j]
-    rem = (whole - quot * p) + frac
-    undecided |= np.abs(rem - 0.5 * p) <= tol
-    quot += rem > 0.5 * p
-    return quot * p, 17 - j, undecided
+    # The range is symmetric, so it holds a multiple of 10 (or 100) iff it
+    # holds the one nearest V; and then it holds one multiple of 100 at most.
+    hundreds = whole // 100 * 100
+    v = (whole - hundreds) + frac  # V mod 100
+    tens = np.rint(v * 0.1) * 10.0  # the multiple of 10 nearest, mod 100
+    ten = np.abs(v - tens)
+    hundred = np.minimum(v, 100.0 - v)
+    round10, round100 = ten < half_gap, hundred < half_gap
+    undecided = np.minimum(np.abs(ten - half_gap), np.abs(hundred - half_gap)) <= tol
+    # A power of two's gap below is half its gap above; unless V is a multiple
+    # of 100, the nearest multiple may be out of range where another is in.
+    undecided |= (m == 0.5) & (hundred > tol)
+    undecided[sub] |= half_gap[sub] >= 50.0  # a subnormal's range may hold two multiples of 100
+    # No multiple of 10 in range: 17 digits, V rounded; else 16, V rounded to 10.
+    near = np.rint(v)
+    near += (tens - near) * round10
+    digits = hundreds + near.astype(np.int64)
+    near -= v  # a tie: V halfway between two roundings
+    undecided |= np.abs(np.abs(near) - (0.5 + 4.5 * round10)) <= tol
+    count = 17 - round10
+    up = np.flatnonzero(round100)
+    if up.size:  # the multiple of 100 in range: its trailing zeros give the rest of the count
+        q = hundreds[up] // 100 + (v[up] > 50.0)
+        digits[up] = q * 100
+        count[up] = 15
+        for n in (8, 4, 2, 1):
+            quot = q // 10**n
+            exact = quot * 10**n == q
+            q = np.where(exact, quot, q)
+            count[up] -= n * exact
+    return digits, count, undecided
 
 
-def _layout(digits, count, decpt, negative) -> np.ndarray:
-    """`shortest` fields for the values 0.d1d2...d17 * 10**decpt, digits given
-    as a 17-digit integer of which the first `count` are shown, in repr's
-    scientific or fixed layout."""
-    prefix, quad, suffix, below = _tables()[3:]
-    scientific = (decpt <= -4) | (decpt > 16)  # repr's rule
-    lead = np.where(scientific, 1, decpt)  # digits before the point
-    point = np.where((lead > 0) & (lead < count), lead, 24)  # 24: none
-    shown = np.maximum(count, lead)
-    zeros = np.maximum(1 - lead, 0)  # of '0.000'
-    end = np.where(scientific, decpt + (1 - _E_MIN), lead >= count)
-    words = np.empty((3, digits.size), dtype=np.uint64)
-    high = digits // 10**9  # digits 1-8, then 9-17
-    low = digits - high * 10**9
-    group = high // 10**4
-    words[0] = quad.take(group) | quad.take(high - group * 10**4) << 32
-    group = low // 10**5
-    low -= group * 10**5
-    high = low // 10
-    words[1] = quad.take(group) | quad.take(high) << 32
-    words[2] = low - high * 10 + ord("0")
-    words &= below.take(shown, axis=1)  # the digits not shown are no text
-    # The point goes to byte `point` of words 1-3; the bytes from there move up one.
-    moved = words << 8
-    moved[1:] |= words[:-1] >> 56
-    kept = below.take(point, axis=1)  # in place: a new array costs more here
-    words ^= moved
-    words &= kept
-    words ^= moved  # the bytes before the point, then those moved
-    kept ^= below.take(point + 1, axis=1)  # the point's byte
-    np.bitwise_xor(words, _DOTS, out=moved)
-    moved &= kept
-    words ^= moved
-    words[2] |= suffix.take(end)
-    out = np.empty((digits.size, 4), dtype="<u8")
-    out[:, 0] = prefix.take(zeros + 5 * negative)
-    for i, word in enumerate(words, 1):
-        out[:, i] = word
-    return out.view(np.uint8)
-
-
-def _e16_layout(digits, decpt, negative) -> np.ndarray:
-    """`e16` fields for the values 0.d1d2...d17 * 10**decpt, digits a 17-digit integer."""
-    quad, suffix = _tables()[4:6]
+def _e16_layout(digits, row, negative, words) -> None:
+    """Writes to `words`, a row per word of a field, the `e16` fields of the
+    values d1.d2...d17 * 10**(row + _E_MIN), digits a 17-digit integer."""
+    quad, suffix = _tables()[3:5]
     top = digits // 10**8
     first, low = top // 10**8, digits - top * 10**8
     # digits 2-9, then 10-17, each as one 8-byte word of two groups of four
     high, low = (quad.take(g) | quad.take(v - g * 10**4) << 32 for v in (top - first * 10**8, low) for g in [v // 10**4])
-    out = np.empty((digits.size, 3), dtype="<u8")
-    out[:, 0] = negative * np.uint64(ord("-")) | first.view(np.uint64) << 8 | high << 24 | np.uint64(0x2E3000)  # '0', '.'
-    out[:, 1] = high >> 40 | low << 24
-    out[:, 2] = low >> 40 | suffix.take(decpt + (1 - _E_MIN)) << 8  # 'e' from byte 2 to 3
-    return out.view(np.uint8)
+    words[0] = negative * np.uint64(ord("-")) | first.view(np.uint64) << 8 | high << 24 | np.uint64(0x2E3000)  # '0', '.'
+    words[1] = high >> 40 | low << 24
+    words[2] = low >> 40 | suffix.take(row) << 8  # 'e' from byte 2 to 3
 
 
-def pack(texts, width: int = WIDTH) -> np.ndarray:
-    """Fields of `width` bytes for ASCII strings; a longer one raises ValueError."""
+def _repr_layout(words, count, row, out) -> None:
+    """Writes to `out` (a row of three words per value) the `shortest` fields
+    of the values d1.d2...dc * 10**(row + _E_MIN), in repr's scientific or
+    fixed notation, from their `e16` fields in `words` (from _e16_layout)."""
+    keep, moved, text, shift, notation = _tables()[5:]
+    case = notation.take(row) + count
+    bits = shift.take(case)
+    up = words << bits
+    up[1:] |= words[:-1] >> (64 - bits)
+    up &= moved.take(case, axis=1)
+    words &= keep.take(case, axis=1)
+    words |= up
+    for i, (word, add) in enumerate(zip(words, text.take(case, axis=1))):
+        np.bitwise_or(word, add, out=out[:, i])
+
+
+def pack(texts) -> np.ndarray:
+    """WIDTH-byte fields for ASCII strings; a longer one raises ValueError."""
     fields = np.array([s.encode("ascii") for s in texts], dtype="S")
-    if fields.dtype.itemsize > width:
-        raise ValueError(f"text of {fields.dtype.itemsize} characters does not fit a {width}-byte field")
-    return fields.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    if fields.dtype.itemsize > WIDTH:
+        raise ValueError(f"text of {fields.dtype.itemsize} characters does not fit a {WIDTH}-byte field")
+    return fields.astype(f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
 
 
 def _spell(x, shortest: bool, python) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
-    slow = ~(np.isfinite(a) & (a > 0.0))
-    a[slow] = 0.30000000000000004  # spelled by Python below; 17 digits: a short search
-    k, whole, frac = _decimal(a)
+    slow = ~np.isfinite(a)  # spelled by Python below
+    zero = np.flatnonzero(a == 0.0)
+    a[slow] = a[zero] = 0.30000000000000004  # stand-ins: 17 digits
+    k, whole, frac, *binary = _decimal(a)
     if shortest:
-        digits, count, undecided = _shortest(a, k, whole, frac)
+        digits, count, undecided = _shortest(whole, frac, *binary)
     else:
         digits = whole + (frac > 0.5)  # rounded to nearest; ties are left undecided
         undecided = np.abs(frac - 0.5) <= TOLERANCE
-    del a, whole, frac
+    del a, whole, frac, binary
+    digits[zero] = k[zero] = 0  # 0.0 is 0 * 10**0
     carry = digits == _TEN17
     digits[carry] = _TEN16
-    decpt = k + 1 + carry  # the value is 0.d1d2... * 10**decpt
+    row = k + carry - _E_MIN  # the exponent's row in the tables
+    out = np.empty((x.size, 3), dtype="<u8")
+    words = np.empty((3, x.size), dtype=np.uint64) if shortest else out.T
+    _e16_layout(digits, row, np.signbit(x), words)
     if shortest:
-        count[carry] = 1
-        out = _layout(digits, count, decpt, np.signbit(x))
-    else:
-        out = _e16_layout(digits, decpt, np.signbit(x))
+        count[carry] = count[zero] = 1
+        _repr_layout(words, count, row, out)
+    out = out.view(np.uint8)
     # The rest is spelled by Python, once per distinct bit pattern.
     rest = np.flatnonzero(slow | undecided)
     if rest.size:
         distinct, inverse = np.unique(x[rest].view(np.int64), return_inverse=True)
-        out[rest] = pack(map(python, distinct.view(np.float64).tolist()), out.shape[1])[inverse]
+        out[rest] = pack(map(python, distinct.view(np.float64).tolist()))[inverse]
     return out
 
 
 def e16(x) -> np.ndarray:
-    """E16_WIDTH-byte fields spelling each value of x as '%.16e' % v."""
+    """WIDTH-byte fields spelling each value of x as '%.16e' % v."""
     return _spell(x, False, "%.16e".__mod__)
 
 

@@ -1,13 +1,16 @@
-"""Cross-check of numtext against Python's own spelling of 3 x 10**6 doubles
+"""Cross-check of numtext against Python's own spelling of 4 x 10**6 doubles
 and of seeded random tables.
 
     PYTHONPATH=src python tests/crosscheck_numtext.py [--seed N] [--count N]
 
-Three seeded populations of `count` doubles each (10**6 by default): random
+Four seeded populations of `count` doubles each (10**6 by default): random
 bit patterns (every kind of double: nan payloads, infinities, subnormals),
 log-uniform magnitudes in [1e-6, 1e18] of either sign (every decimal
-exponent for which repr writes fixed notation) and integers near 2**53 of
-either sign.  Every value is spelled by numtext.e16 and numtext.shortest and
+exponent for which repr writes fixed notation), integers near 2**53 of
+either sign, and decimals of 1 to 17 significant digits over every decimal
+exponent, of either sign, each with both of its neighbouring doubles (repr
+shorter than 16 digits, which the other populations almost never give).
+Every value is spelled by numtext.e16 and numtext.shortest and
 compared with '%.16e' % v and json.dumps(v).  Then TABLES seeded random
 grids of 1 or 2 axes (2 to 5,000 points on the fastest) with constant, line
 and varying columns, float and int, go through numtext.rows_text in both
@@ -38,6 +41,21 @@ def populations(rng: np.random.Generator, count: int):
     yield "log-uniform +-[1e-6, 1e18]", sign * 10.0 ** rng.uniform(-6.0, 18.0, count)
     sign = rng.choice([-1.0, 1.0], count)
     yield "integers near 2**53", sign * (2**53 + rng.integers(-(2**24), 2**24, count)).astype(np.float64)
+    yield "decimals of 1-17 digits and neighbours", short_decimals(rng, count)
+
+
+def short_decimals(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count doubles: decimals d1.d2...dn * 10**e (n in 1..17, e in -324..308,
+    either sign), as parsed from their text, each between its two neighbours."""
+    size = count // 3 + 1
+    digits = rng.integers(1, 18, size)
+    low = 10 ** (digits - 1)
+    mantissa = rng.integers(low, 10 * low).astype(str)
+    exponent = (rng.integers(-324, 309, size) - digits + 1).astype(str)
+    text = np.char.add(np.char.add(rng.choice(["", "-"], size), mantissa), np.char.add("e", exponent))
+    x = text.astype(np.float64)
+    with np.errstate(over="ignore"):  # the largest double's neighbour is inf
+        return np.stack([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)], axis=1).ravel()[:count]
 
 
 def mismatches(values: np.ndarray, spell, python) -> int:

@@ -62,8 +62,34 @@ def test_adversarial_values_are_spelled_like_python():
     values += [float(n) for n in range(-1000, 1001)] + [n / 8 for n in range(-1000, 1001)]
     values += [rng.uniform(0.0, 5e-308) for _ in range(2000)]  # subnormals and small normals
     values += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(5000)]
+    for _ in range(3334):  # repr shorter than 16 digits: decimals of 1-17 digits over every exponent
+        digits = rng.randint(1, 17)
+        values += _neighbours(float(f"{rng.randrange(10 ** (digits - 1), 10**digits)}e{rng.randint(-324, 308) - digits + 1}"))
     values += [-v for v in values]
     _assert_spelled_like_python(values)
+
+
+def _surface_200_by_121():
+    table = sweep_2d(ModelParams(3, 0.5, 0.1), ThermoState(1.0), GridSpec("beta", 0.001, 30.0, 200),
+                     GridSpec("h", -3.0, 3.0, 121))
+    return table, table.coords + tuple(table.columns.values())
+
+
+def test_python_spells_no_more_values_of_a_surface_than_before(monkeypatch):
+    # The values handed to Python's own spelling (one call per distinct value
+    # of a spell call) for a 200 x 121 surface.  Before the walk-free digit
+    # search they were 1 for e16 (0.0) and 9 for shortest (0.0 and the eight
+    # powers of two +-0.25, +-0.5, +-1.0 and +-2.0 on the h line); numtext
+    # now spells all of them.  The h line's short decimals (-2.95, 0.05, ...)
+    # take the digit search, so a search that left them to Python fails here.
+    table, columns = _surface_200_by_121()
+    spell = numtext._spell
+    for name, before in (("e16", 1), ("shortest", 9)):
+        calls = []
+        monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python: spell(
+            x, shortest, lambda v: calls.append(v) or python(v)))
+        assert "".join(numtext.rows_text(columns, (200, 121), getattr(numtext, name), "", ",", "\n")).count("\n") == len(table)
+        assert len(calls) <= before, (name, calls)
 
 
 def _reference_text(table):
@@ -120,9 +146,7 @@ def test_tables_are_written_as_python_spells_each_cell():
 
 def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
     grid = (200, 121)
-    table = sweep_2d(ModelParams(3, 0.5, 0.1), ThermoState(1.0), GridSpec("beta", 0.001, 30.0, grid[0]),
-                     GridSpec("h", -3.0, 3.0, grid[1]))
-    columns = table.coords + tuple(table.columns.values())
+    table, columns = _surface_200_by_121()
     # the float lines: beta and h as coordinates, then beta, T, h and the constant J
     lines = 200 + 121 + 200 + 200 + 121 + 1
     rows = numtext.BLOCK_ROWS // 121 * 121  # whole fastest-axis lines per block
