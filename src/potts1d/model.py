@@ -111,37 +111,3 @@ class ThermoState:
     def from_temperature(cls, T) -> "ThermoState":
         return cls(1.0 / check_domain("T", T).item())
 
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """A periodic chain of N >= 2 spins; site N+1 is identified with site 1."""
-
-    sites: tuple[int, ...]
-
-    def __post_init__(self):
-        for s in self.sites:
-            if int(s) != s or s < 1:
-                raise ValueError(f"spin {s!r} outside 1..q")
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-        if len(self.sites) < 2:
-            raise ValueError("a periodic chain needs at least 2 sites")
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-
-def config_energy(config: SpinConfig, params: ModelParams, state: ThermoState) -> float:
-    """Energy of a periodic configuration: -(J + h/beta) times the agreement sum.
-
-    Each bond adds -1 to the agreement sum when its two spins are equal and
-    +1 when they differ, so exp(-beta * E) is the product over the N bonds
-    of exp((beta*J + h) * (+-1)), which is the identity the enumeration
-    oracle relies on.  Spins must lie in 1..q.
-    """
-    sites = config.sites
-    if max(sites) > params.q:
-        raise ValueError(f"spin {max(sites)} outside 1..{params.q}")
-    agreement = sum(1.0 if a != b else -1.0 for a, b in zip(sites, sites[1:] + sites[:1]))
-    energy = -(params.J + params.h / state.beta) * agreement  # h / beta overflows at a tiny beta
-    message = "energy -(J + h/beta) * (agreement sum) overflows"
-    return require_finite(energy, message, J=params.J, h=params.h, beta=state.beta)

@@ -2,10 +2,8 @@
 routes the paper derives them by, exhaustive enumeration, and the report
 that compares three routes to ln Z_N.
 
-TransferMatrix is the q x q matrix itself, and trace powers work on its
-dense form; closed_form_spectrum and minor_ratio give the two eigenvalues
-in value form, which overflow where the log forms in transfer do not, for
-the dense matrix and its eigendecomposition to be compared against.  The
+TransferMatrix is the q x q matrix itself: trace powers work on its dense
+form, and its eigendecomposition checks the kernel's two eigenvalues.  The
 numeric routes never share arithmetic with the closed forms they check.
 Enumeration gives each periodic chain its own count of unequal bonds,
 built one site at a time so that chains sharing a prefix share the work,
@@ -24,7 +22,7 @@ import numpy as np
 
 from .model import ModelParams, ThermoState, check_domain, require_finite
 from .thermo import coupling_exponent
-from .transfer import log_dominant_eigenvalue, partition_function
+from .transfer import partition_function
 
 # Dense materialization bound: exp(300) is representable with margin, while
 # the log-domain paths stay valid for any finite parameters.
@@ -75,54 +73,6 @@ def build_matrix(params: ModelParams, state: ThermoState) -> TransferMatrix:
     """Transfer matrix for the given parameters and inverse temperature."""
     u = coupling_exponent(params.J, params.h, state.beta)
     return TransferMatrix(q=params.q, log_diag=-u, log_offdiag=u)
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Both distinct eigenvalues plus the stable log of the dominant one.
-
-    lambda_minor has multiplicity q - 1 and may be negative (it vanishes
-    exactly when h + J*beta = 0); lambda_max is simple and positive.
-    """
-
-    lambda_minor: float
-    lambda_max: float
-    log_lambda_max: float
-
-
-def closed_form_spectrum(params: ModelParams, state: ThermoState) -> EigenSpectrum:
-    """Exact spectrum of the transfer matrix.
-
-    lambda_minor = exp(-u) - exp(u) = -2 sinh(u) with multiplicity q - 1,
-    lambda_max = exp(-u) + (q-1) exp(u), and log_lambda_max is computed in
-    the log domain so it stays finite for any finite parameters.  The two
-    value fields saturate to +-inf once they leave double range; the log
-    field is always finite.
-    """
-    u = coupling_exponent(params.J, params.h, state.beta)
-    llm = log_dominant_eigenvalue(params, state)
-    try:
-        minor = -2.0 * math.sinh(u)
-    except OverflowError:
-        minor = math.inf if u < 0.0 else -math.inf
-    try:
-        lam = math.exp(llm)
-    except OverflowError:
-        lam = math.inf
-    return EigenSpectrum(lambda_minor=minor, lambda_max=lam, log_lambda_max=llm)
-
-
-def minor_ratio(params: ModelParams, state: ThermoState) -> float:
-    """The ratio lambda_minor / lambda_max, always strictly inside (-1, 1).
-
-    Computed without forming either eigenvalue, so it is exact in the
-    regimes where the dense values would overflow or cancel.
-    """
-    u = coupling_exponent(params.J, params.h, state.beta)
-    q = params.q
-    if u > 0.0:
-        return math.expm1(-2.0 * u) / (math.exp(-2.0 * u) + (q - 1))
-    return -math.expm1(2.0 * u) / (1.0 + (q - 1) * math.exp(2.0 * u))
 
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
@@ -229,15 +179,6 @@ def trace_power_partition(params: ModelParams, state: ThermoState, N: int) -> fl
     return log_scale + math.log(float(np.trace(p)))
 
 
-def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> float:
-    """Free energy per site of the N-site chain, -log(Z_N) / (beta * N).
-
-    Converges to the bulk free energy; for even N the gap is bounded by
-    ln(q) / (beta * N) and shrinks geometrically in N.
-    """
-    return _free_energy_per_site(params, state, N, partition_function(params, state, N))
-
-
 def _free_energy_per_site(params: ModelParams, state: ThermoState, N: int, ln_z: float) -> float:
     f = -ln_z * state.T / N
     if not math.isfinite(f):  # ln Z_N * T can overflow where f does not
@@ -280,28 +221,3 @@ def three_route_report(params: ModelParams, state: ThermoState, N: int) -> Oracl
         max_relative_discrepancy=worst,
     )
 
-
-# Golden-section steps in refine_peak: each keeps 0.618 of the bracket, so
-# the last bracket is about 2e-19 of the first.
-GOLDEN_SECTION_STEPS = 90
-
-
-def refine_peak(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal callable on [lo, hi]."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    for _ in range(GOLDEN_SECTION_STEPS):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)

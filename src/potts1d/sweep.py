@@ -1,5 +1,4 @@
-"""Deterministic parameter-grid evaluation, peak detection, and the
-free-energy ordering check in the spin-state count.
+"""Deterministic parameter-grid evaluation and peak detection.
 
 Grids are linear with inclusive endpoints and finite points, and a GridSpec
 refuses an invalid point when it is built.  A sweep lays out one column per
@@ -15,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import ModelParams, ThermoState, check_domain, temperature
-from .thermo import coupling_exponent, spectrum_core, thermo_arrays
+from .thermo import thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
 OBSERVABLES = ("f", "S", "m", "chi", "C")
@@ -129,21 +128,3 @@ def find_peak(table: SweepTable, observable: str) -> tuple[float, float]:
     i = int(np.argmax(values))  # the first index of the maximum
     return float(table.coords[0][i]), float(values[i])
 
-
-def q_ordering_check(beta_grid: GridSpec, h: float, J: float, q_list) -> bool:
-    """True iff the free energy strictly decreases along q_list at every beta.
-
-    The pairwise difference of log dominant eigenvalues is evaluated in the
-    cancellation-free form log1p((q' - q) r / (q - 1)), with r the kernel's
-    sigmoid at q, so strictness is decided on the exact increment rather
-    than on subtractions of nearly equal free energies.  Increments whose r
-    underflows (x + ln(q-1) < -745) report as not strictly decreasing.
-    """
-    if beta_grid.axis != "beta":
-        raise ValueError("q_ordering_check needs a beta grid")
-    qs = [check_domain("q", q).item() for q in q_list]
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("q_list must be strictly increasing")
-    qa, qb = np.array(qs[:-1])[:, None], np.array(qs[1:])[:, None]
-    r = spectrum_core(qa, coupling_exponent(J, h, beta_grid.points())).r
-    return bool(np.all(np.log1p((qb - qa) * r / (qa - 1)) > 0.0))

@@ -165,14 +165,6 @@ def magnetization(params: ModelParams, state: ThermoState) -> float:
     return thermo_point(params, state).m
 
 
-def magnetization_zero_point(params: ModelParams, state: ThermoState) -> float:
-    """The field h* = -(J*beta + ln(q-1)/2) where the magnetization vanishes.
-
-    The susceptibility attains its maximum value 1/beta at the same field.
-    """
-    return -(params.J * state.beta + 0.5 * math.log(params.q - 1))
-
-
 def susceptibility(params: ModelParams, state: ThermoState) -> float:
     """Susceptibility 4 r (1-r) / beta, strictly positive and at most 1/beta."""
     return thermo_point(params, state).chi

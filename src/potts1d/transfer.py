@@ -1,5 +1,5 @@
-"""Log spectrum of the transfer matrix and the exact finite-N partition
-function.
+"""The exact finite-N partition function from the transfer matrix's log
+spectrum.
 
 The matrix is q x q with constant diagonal exp(-(h + J*beta)) and constant
 off-diagonal exp(+(h + J*beta)).  Its spectrum therefore collapses to two
@@ -19,13 +19,6 @@ import numpy as np
 
 from .model import ModelParams, ThermoState, check_domain, require_finite
 from .thermo import coupling_exponent, spectrum_core
-
-
-def log_dominant_eigenvalue(params: ModelParams, state: ThermoState) -> float:
-    """Stable log of the dominant transfer-matrix eigenvalue,
-    log of exp(-u) * (1 + (q-1) exp(2u)), without overflow for any finite u."""
-    u = coupling_exponent(params.J, params.h, state.beta)
-    return float(spectrum_core(params.q, u).log_lambda_max)
 
 
 def _log1mexp(z: float) -> float:

@@ -22,14 +22,14 @@ from potts1d import (
     three_route_report,
 )
 from potts1d.cli import main
-from potts1d.oracle import (
-    build_matrix,
+from potts1d.oracle import build_matrix
+from reference import (
     closed_form_spectrum,
     finite_N_free_energy,
+    magnetization_zero_point,
+    q_ordering_check,
     refine_peak,
 )
-from potts1d.sweep import q_ordering_check
-from potts1d.thermo import magnetization_zero_point
 
 
 def criterion(label):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from potts1d import ModelParams, ThermoState
-from potts1d.model import SpinConfig, config_energy
+from reference import SpinConfig, config_energy
 
 UNIT = ThermoState(1.0)
 

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potts1d import ModelParams, ThermoState, fd_verify, thermo_point, three_route_report
-from potts1d.oracle import finite_N_free_energy
 from potts1d.transfer import partition_function
+from reference import finite_N_free_energy
 
 
 @st.composite

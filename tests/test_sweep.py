@@ -15,9 +15,8 @@ from potts1d import (
     sweep_2d,
     thermo_point,
 )
-from potts1d.oracle import refine_peak
-from potts1d.sweep import GRID_AXES, MAX_GRID_POINTS, q_ordering_check
-from potts1d.thermo import magnetization_zero_point
+from potts1d.sweep import GRID_AXES, MAX_GRID_POINTS
+from reference import magnetization_zero_point, q_ordering_check, refine_peak
 
 
 def test_gridspec_validation():

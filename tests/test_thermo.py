@@ -15,9 +15,9 @@ from potts1d import (
     sweep_1d,
     thermo_point,
 )
-from potts1d.oracle import closed_form_spectrum
 from potts1d.sweep import GridSpec
-from potts1d.thermo import coupling_exponent, magnetization_zero_point, spectrum_core
+from potts1d.thermo import coupling_exponent, spectrum_core, thermo_arrays
+from reference import magnetization_zero_point
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
 
@@ -75,10 +75,10 @@ def test_free_energy_reference_point():
 
 
 def test_free_energy_shares_spectrum_code_path():
-    # same code path as the spectrum module, so equality is exact
+    # same code path as the kernel's spectrum, so equality is exact
     for params, state in _random_points(31, 25):
-        spectrum = closed_form_spectrum(params, state)
-        assert free_energy(params, state) == -spectrum.log_lambda_max / state.beta
+        core = spectrum_core(params.q, coupling_exponent(params.J, params.h, state.beta))
+        assert free_energy(params, state) == -core.log_lambda_max / state.beta
 
 
 def test_entropy_uniform_chain():
@@ -341,6 +341,18 @@ def test_fd_verify_passes_over_the_sampled_domain():
         assert report.passed, (q, J, h, beta, report)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: f is flat at a huge beta, and the second T-difference divided by the step twice gives "
+    "an infinite C error although C = 0 is right (CHANGES.md FOUND line on thermo.fd_verify C; "
+    "ROADMAP item 2)"))
+def test_fd_verify_heat_capacity_at_a_huge_beta():
+    params, state = ModelParams(2, 3.0, 0.0), ThermoState(7.930747755350154e+284)
+    assert heat_capacity(params, state) == 0.0  # right
+    report = fd_verify(params, state)
+    assert math.isfinite(report.heat_capacity_error)
+    assert report.passed, report
+
+
 def test_derivative_chain_on_random_grid():
     # every closed form tracks its finite-difference counterpart
     for params, state in _random_points(61, 50):
@@ -401,6 +413,26 @@ def test_heat_capacity_off_the_product_path_against_mpmath():
         assert math.isfinite(point.chi)
     # J = 0 with beta**3 = inf: the product was 0 * inf = nan
     assert thermo_point(ModelParams(3, 0.0, 0.5), ThermoState(1e200)).C == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: chi = 0 where 4r(1-r) underflows before the division by a small beta, though the "
+    "true chi is a representable subnormal (ROADMAP item 3).  The fix must keep acceptance criterion 7, "
+    "which asserts C = J^2 beta^3 chi at a subnormal chi (point --q 3 --J 12 --h 3 --beta 30)"))
+def test_susceptibility_keeps_a_subnormal_value():
+    # 60-digit mpmath at the rounded u: chi = 4.8645e-322, which rounds to 98 subnormal ulps
+    chi = thermo_arrays(63, -0.021633182822038483, -377.2451221538436, 1.0875887947509836e-4).chi
+    assert abs(chi - 4.84e-322) <= 5e-324
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: C = 0 where chi underflows but C = (J beta)^2 4r(1-r) is a normal double, because "
+    "J^2 beta^3 chi is kept wherever its factors are normal (CHANGES.md FOUND line on thermo.thermo_arrays "
+    "C = 0; ROADMAP item 3).  The fix must keep acceptance criterion 7 (C = J^2 beta^3 chi at a subnormal chi)"))
+def test_heat_capacity_where_chi_underflows():
+    # u = 380 exactly; 60-digit mpmath gives C = 3.4534545508855545e-300
+    point = thermo_point(ModelParams(2, 1e15, -999999999999620.0), ThermoState(1.0))
+    assert point.C == pytest.approx(3.4534545508855545e-300, rel=1e-12, abs=0.0)
 
 
 def test_heat_capacity_keeps_the_product_where_its_factors_are_normal():

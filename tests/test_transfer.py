@@ -1,6 +1,6 @@
-"""The transfer-matrix method: the log spectrum and ln Z_N of transfer, and
-the dense matrix, its numpy eigendecomposition and the value-form spectrum
-of oracle that check them."""
+"""The transfer-matrix method: the kernel's log spectrum and ln Z_N of
+transfer, and the dense matrix of oracle, its numpy eigendecomposition and
+the value-form spectrum of the test reference that check them."""
 
 import math
 import tracemalloc
@@ -13,13 +13,12 @@ from potts1d.oracle import (
     DENSE_EXPONENT_LIMIT,
     MAX_DENSE_Q,
     build_matrix,
-    closed_form_spectrum,
     enumerate_partition,
-    minor_ratio,
     trace_power_partition,
 )
-from potts1d.thermo import LARGE_EXPONENT_THRESHOLD
-from potts1d.transfer import log_dominant_eigenvalue, partition_function
+from potts1d.thermo import LARGE_EXPONENT_THRESHOLD, coupling_exponent, spectrum_core
+from potts1d.transfer import partition_function
+from reference import closed_form_spectrum
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))  # h + J*beta = 1.2
 
@@ -64,10 +63,12 @@ def test_spectrum_against_numeric_eigendecomposition():
     edge = (ModelParams(2, 0.0, 709.5), ThermoState(1.0))
     for point, minor, lam in ((POINT, -3.0189227108243455, 6.941428057385298),
                               (edge, -1.3549863193146328e308, 1.3549863193146328e308)):
-        spectrum = closed_form_spectrum(*point)
+        params, state = point
+        spectrum = closed_form_spectrum(params, state)
+        log_lambda_max = spectrum_core(params.q, coupling_exponent(params.J, params.h, state.beta)).log_lambda_max
         assert spectrum.lambda_minor == pytest.approx(minor, rel=1e-14)
         assert spectrum.lambda_max == pytest.approx(lam, rel=1e-14)
-        assert spectrum.log_lambda_max == pytest.approx(math.log(spectrum.lambda_max), rel=1e-14)
+        assert log_lambda_max == pytest.approx(math.log(spectrum.lambda_max), rel=1e-14)
 
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -104,16 +105,15 @@ def test_log_branch_agreement_at_threshold():
         # the implementation agrees with both on either side of the switch
         eps = 1e-9
         for uu in (u - eps, u + eps):
-            params = ModelParams(q, 0.0, uu)
-            got = log_dominant_eigenvalue(params, ThermoState(1.0))
+            got = spectrum_core(q, coupling_exponent(0.0, uu, 1.0)).log_lambda_max
             assert got == pytest.approx(low, rel=1e-9)
 
 
 def test_log_dominant_eigenvalue_never_overflows():
-    llm = log_dominant_eigenvalue(ModelParams(3, 12.0, 3.0), ThermoState(30.0))
+    llm = spectrum_core(3, coupling_exponent(12.0, 3.0, 30.0)).log_lambda_max
     assert math.isfinite(llm)
     assert llm == pytest.approx(363.0 + math.log(2.0), rel=1e-12)
-    llm = log_dominant_eigenvalue(ModelParams(16, -12.0, 3.0), ThermoState(30.0))
+    llm = spectrum_core(16, coupling_exponent(-12.0, 3.0, 30.0)).log_lambda_max
     assert llm == pytest.approx(357.0, rel=1e-12)
 
 
@@ -125,22 +125,11 @@ def test_dominance_strict():
         state = ThermoState(float(rng.uniform(0.05, 3.0)))
         if abs(params.h + params.J * state.beta) > 15.0:
             continue
-        rho = minor_ratio(params, state)
+        w = np.linalg.eigvalsh(build_matrix(params, state).to_dense())  # LAPACK
+        rho = w[0] / w[-1]
         assert abs(rho) < 1.0
         spectrum = closed_form_spectrum(params, state)
         assert abs(spectrum.lambda_minor) < spectrum.lambda_max
-
-
-def test_minor_ratio_matches_direct_quotient():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        q = int(rng.integers(2, 9))
-        params = ModelParams(q, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        state = ThermoState(float(rng.uniform(0.1, 2.5)))
-        spectrum = closed_form_spectrum(params, state)
-        assert minor_ratio(params, state) == pytest.approx(
-            spectrum.lambda_minor / spectrum.lambda_max, rel=1e-12, abs=1e-15
-        )
 
 
 def test_partition_function_unit_weights():
