@@ -4,12 +4,12 @@ three-route verification runs, and peak reports, emitted as CSV or JSON.
 CSV cells are '%.16e' % v (17 significant digits) with line-feed line
 endings, so every double round-trips exactly.  JSON text is what json.dumps
 gives, numbers at full precision.  Cells are spelled by numtext, whole
-arrays at a time and byte for byte as Python spells them: a column that
-repeats over the grid once per value along its grid line, the others in
-blocks of whole lines of the grid's last axis, up to 2,048 rows (or 2,048-row
-slices of a longer line).  Text is written in pieces of 256 rows as it is
-made, so the whole table is never held as text.  A JSON config file can
-mirror any flag; explicit flags take precedence over file values.
+arrays at a time and byte for byte as Python spells them: a column of
+stride 0 along every grid axis but one is spelled once per value along
+that axis, the others in blocks of whole lines of the grid's last axis, up
+to 2,048 rows (or 2,048-row slices of a longer line).  Text is written in
+pieces of 256 rows as it is made, so the whole table is never held as text.
+A JSON config file can mirror any flag; explicit flags override its values.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ class RunConfig:
 
 
 def _rows_text(table: SweepTable, shortest: bool, before: str, between: str, after: str):
-    # Imported here, so that point, verify and peaks, which write no table,
-    # do not load it: a process that compiles from source (no bytecode
-    # cache) spends about 4 ms compiling it.
+    # The columns keep the grid's shape.  numtext is imported here, so that
+    # point, verify and peaks, which write no table, do not load it (a process
+    # without a bytecode cache spends about 4 ms compiling it).
     from . import numtext
 
     columns = table.coords + tuple(table.columns.values())
     spell = numtext.shortest if shortest else numtext.e16
-    return numtext.rows_text(columns, tuple(g.steps for g in table.axes), spell, before, between, after)
+    return numtext.rows_text(columns, spell, before, between, after)
 
 
 def table_columns(table: SweepTable) -> list[str]:

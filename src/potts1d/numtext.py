@@ -7,7 +7,7 @@ anywhere in it: the text is the field with its zero bytes removed.
 
 The digits come from V = |x| * 10**(16 - k), with 10**k <= |x| < 10**(k+1),
 computed in double-double arithmetic from a table 10**s = (hi + lo) * 2**t
-that is built once, with integers, on first use.  V is good to 1e-13, so the
+built once, with integers, on first use.  V is good to 1e-13, so the
 17 rounded digits (`%.16e`) and the shortest digits that read back as x
 (`repr`) follow from V alone, except within TOLERANCE of a rounding or
 round-trip boundary.  The shortest digits take no search: the round-trip
@@ -19,7 +19,7 @@ two multiples of 100 are spelled by Python.  The method is the
 fixed-precision half of Ryu-style conversion (Adams, PLDI 2018), done as
 array passes.  A `shortest` field is the `e16` field of its digits with bytes
 cleared and moved per row (see _tables).  `rows_text` joins fields of columns
-laid out on a grid into delimited rows (CSV lines, JSON arrays) and drops the
+of one grid shape into delimited rows (CSV lines, JSON arrays) and drops the
 padding.
 """
 
@@ -59,7 +59,7 @@ _TEN16, _TEN17 = 10**16, 10**17
 
 @functools.cache
 def _tables():
-    """The power-of-ten table and the byte tables of the field layout."""
+    """The power-of-ten table, from integers, and the field layout's byte tables, from broadcasts."""
     hi, lo, t = [], [], []
     for s in range(_S_MIN, _S_MAX + 1):
         # x = floor(10**s * 2**(120 - t)) with 10**s / 2**t in [1, 2)
@@ -71,39 +71,41 @@ def _tables():
         lo.append(float(x - int(h)))
     hi, lo, t = np.ldexp(np.array(hi), -120), np.ldexp(np.array(lo), -120), np.array(t, dtype=np.int64)
 
-    def words(texts):  # byte strings of up to 8 bytes as little-endian words
-        return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)
+    def digit(v, place, at):  # the digit of v at 10**place as ASCII, in byte `at` of a word
+        return (v // 10**place % 10 + ord("0")).astype(np.uint64) << np.uint64(8 * at)
 
     # the digits of each group 0000..9999, in the low half of a word
-    quad = words(b"%04d" % v for v in range(10_000))
-    # 'e', the exponent's sign and digits, from byte 2 of a word
-    suffix = words(b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1))
+    v = np.arange(10_000)
+    quad = digit(v, 3, 0) | digit(v, 2, 1) | digit(v, 1, 2) | digit(v, 0, 3)
+    # 'e', the exponent's sign and its two or three digits, from byte 2 of a word
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    a, three = np.abs(e), np.abs(e) >= 100
+    suffix = (ord("e") << 16 | (ord("+") + 2 * (e < 0)) << 24).astype(np.uint64) | digit(a, 1 + three, 4) | digit(a, three, 5)
+    suffix |= np.where(three, digit(a, 0, 6), 0)
 
-    def field(text=b"", at=0, spans=()):  # a field of `text` at byte `at`, 0xff over spans
-        b = bytearray(WIDTH)
-        b[at:at + len(text)] = text
-        for start, end in spans:
-            b[start:end] = b"\xff" * (end - start)
-        return list(np.frombuffer(bytes(b), dtype="<u8"))
+    # A `shortest` field by case: each digit count c of d1.d2...dc (axis 1)
+    # for each notation (axis 0), scientific (d = -4) or 0.d1d2...dc * 10**d
+    # with d = -3..16.  It keeps the bytes `keep` of the `e16` field F, takes
+    # the bytes `moved` of F shifted up `shift` bits, and adds `text`: a 0.000
+    # prefix or a point.  Each is built over the field's bytes b (axis 2).
+    d, c, b = np.arange(-4, 17)[:, None, None], np.arange(1, 18)[:, None], np.arange(WIDTH)
+    # d1[.d2...dc]e+XX: the digits not shown are cleared
+    sci = (d == -4) & ((b < 2 + (c > 1)) | (3 <= b) & (b < c + 2) | (b >= 19))
+    # d1...dd.d(d+1)...: the digits after the point move up a byte; .0 is digit d + 1
+    fixed, small = d > 0, (-4 < d) & (d <= 0)
+    keep = sci | fixed & ((b < 2) | (3 <= b) & (b < d + 2)) | small & (b < 1)
+    moved = fixed & (d + 3 <= b) & (b < np.maximum(c, d + 1) + 3)
+    # 0.000d1d2...: the digits move up past the prefix, and F's point is left out
+    moved |= small & ((b == 3 - d) | (5 - d <= b) & (b < c + 4 - d))
+    text = np.where(fixed & (b == d + 2) | small & (b == 2), ord("."), np.where(small & (1 <= b) & (b < 3 - d), ord("0"), 0))
 
-    # A `shortest` field by case: each digit count c of d1.d2...dc for each
-    # notation, scientific or 0.d1d2...dc * 10**d with d = -3..16.  It keeps
-    # the bytes `keep` of the `e16` field F, takes the bytes `moved` of F
-    # shifted up `shift` bits, and adds `text`: a 0.000 prefix or a point.
-    shape = []
-    for d in [None] + list(range(-3, 17)):
-        for c in range(1, 18):
-            if d is None:  # d1[.d2...dc]e+XX: the digits not shown are cleared
-                keep, moved, text, shift = [(0, 2 + (c > 1)), (3, c + 2), (19, WIDTH)], [], field(), 0
-            elif d > 0:  # d1...dd.d(d+1)...: the digits after the point move up a byte; .0 is digit d + 1
-                keep, moved, text, shift = [(0, 2), (3, d + 2)], [(d + 3, max(c, d + 1) + 3)], field(b".", d + 2), 8
-            else:  # 0.000d1d2...: the digits move up past the prefix, and F's point is left out
-                keep, moved = [(0, 1)], [(3 - d, 4 - d), (5 - d, c + 4 - d)]
-                text, shift = field(b"0." + b"0" * -d, 1), 8 * (2 - d)
-            shape.append(field(spans=keep) + field(spans=moved) + text + [shift])
-    keep, moved, text, (shift,) = np.split(np.array(shape, dtype=np.uint64).T.copy(), [3, 6, 9])
+    # bytes by (notation, count, byte) as little-endian words by (word, case)
+    keep, moved, text = (np.broadcast_to(x, (21, 17, WIDTH)).astype(np.uint8).reshape(-1, WIDTH).view("<u8").T.copy()
+                         for x in (keep * 0xFF, moved * 0xFF, text))
+    shift = np.broadcast_to(np.where(d > 0, 8, 8 * (2 - d)) * (d > -4), (21, 17, 1)).astype(np.uint64).ravel()
     # by the row of the exponent d - 1: the first case of its notation, less one
-    notation = np.array([17 * (-3 <= d <= 16 and d + 4) - 1 for d in range(_E_MIN + 1, _E_MAX + 2)])
+    d = np.arange(_E_MIN + 1, _E_MAX + 2)
+    notation = 17 * np.where((-3 <= d) & (d <= 16), d + 4, 0) - 1
     return hi, lo, t, quad, suffix, keep, moved, text, shift, notation
 
 
@@ -281,48 +283,43 @@ def shortest(x) -> np.ndarray:
     return _spell(x, True, json.dumps)
 
 
-def _repeat(column: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, int] | None:
-    """(line, stride) if the column, laid out on the grid, varies along one
-    axis of `shape` only, so that row i holds line[i // stride % line.size];
-    None if it varies along more.  `shape` is the grid's shape after a
-    leading axis of 1, along which a constant column varies.  Bit patterns
-    are compared, so -0.0 stays apart from 0.0."""
-    grid = (column.view(np.int64) if column.dtype.kind == "f" else column).reshape(shape)
-    for axis, size in enumerate(shape):
-        if size == column.size:
-            continue  # the line would be the whole column: nothing repeats
-        index = tuple(slice(None) if a == axis else slice(0, 1) for a in range(len(shape)))
-        if np.all(grid == grid[index]):
-            return column.reshape(shape)[index].ravel(), math.prod(shape[axis + 1:])
-    return None
+def rows_text(columns, spell, before: str, between: str, after: str):
+    """Text of the rows of columns of one grid shape, row-major, in pieces of
+    at most PIECE_ROWS rows; a row is `before`, its cells joined by `between`,
+    then `after`.  Float cells are spelled by `spell` (e16 or shortest),
+    integer cells by str.
 
-
-def rows_text(columns, grid: tuple[int, ...], spell, before: str, between: str, after: str):
-    """Text of the rows of equal-length columns laid out on a grid of shape
-    `grid` (row-major), in pieces of at most PIECE_ROWS rows; a row is
-    `before`, its cells joined by `between`, then `after`.  Float cells are
-    spelled by `spell` (e16 or shortest), integer cells by str.
-
-    A column that varies along one grid axis at most is spelled once per value
-    of its line, all float lines in one call, at the width of its longest
-    text.  Blocks of rows never straddle a fastest-axis line; their template
-    holds the separators, the constants and whole fastest-axis lines, and a
-    slower axis's line costs one gather per block.  The other columns are
-    spelled per block, those of one dtype in one call."""
+    A column that varies along one grid axis at most (its other axes have
+    size 1 or stride 0, as np.broadcast_to gives) is spelled once per value of
+    that line, all float lines in one call, at the width of its longest text.
+    Blocks of rows never straddle a fastest-axis line; their template holds
+    the separators, the constants and whole fastest-axis lines, and a slower
+    axis's line costs one gather per block.  The other columns are spelled
+    per block, those of one dtype in one call."""
 
     def cells(values: np.ndarray) -> np.ndarray:
         return pack(map(str, values.tolist())) if values.dtype.kind in "iu" else spell(values)
 
-    def tight(fields: np.ndarray) -> np.ndarray:  # texts at the width of the longest
+    def tight(fields: np.ndarray) -> np.ndarray:  # texts at the width of the longest, each one item
         text = fields != 0  # sorted to the front, in order
-        return np.take_along_axis(fields, np.argsort(~text, axis=1, kind="stable"), axis=1)[:, :text.sum(1).max()]
+        fields = np.take_along_axis(fields, np.argsort(~text, axis=1, kind="stable"), axis=1)[:, :text.sum(1).max()]
+        return np.ascontiguousarray(fields).view(f"V{fields.shape[1]}")[:, 0]
 
-    n, size = columns[0].size, grid[-1]
-    repeats = [_repeat(c, (1,) + tuple(grid)) for c in columns]
+    grid = columns[0].shape
+    n, size = math.prod(grid), grid[-1]
+
+    def line_of(column):  # (the values along the one axis it varies in, rows per value), or None
+        axes = [a for a, (k, step) in enumerate(zip(grid, column.strides)) if k > 1 and step]
+        if len(axes) > 1 or axes and grid[axes[0]] == n:
+            return None  # varies along two axes, or along every row: spelled per block
+        index = tuple(slice(None) if a in axes else 0 for a in range(len(grid)))
+        return column[index].reshape(-1), math.prod(grid[axes[0] + 1:]) if axes else n
+
+    repeats = [line_of(c) for c in columns]
     floats = [r[0] for r in repeats if r is not None and r[0].dtype.kind == "f"]
     spelled = iter(np.split(spell(np.concatenate(floats)), np.cumsum([f.size for f in floats])) if floats else ())
     lines = [r and (tight(next(spelled) if r[0].dtype.kind == "f" else cells(r[0])), r[1]) for r in repeats]
-    varying = [i for i, r in enumerate(repeats) if r is None]
+    varying = {i: columns[i].reshape(-1) for i, r in enumerate(repeats) if r is None}
     groups = [[i for i in varying if columns[i].dtype == dtype] for dtype in dict.fromkeys(columns[i].dtype for i in varying)]
     per = BLOCK_ROWS // size  # whole fastest-axis lines a block holds; 0: a slice of one
     capacity = per * size or BLOCK_ROWS
@@ -333,24 +330,24 @@ def rows_text(columns, grid: tuple[int, ...], spell, before: str, between: str, 
     for lo, hi in bounds:
         m = hi - lo
         spelled = {i: part for group in groups for i, part in
-                   zip(group, cells(np.concatenate([columns[i][lo:hi] for i in group])).reshape(len(group), m, -1))}
-        if block is None:  # a cell's field is a slice of the block's rows
+                   zip(group, cells(np.concatenate([varying[i][lo:hi] for i in group])).view(f"V{WIDTH}").reshape(len(group), m))}
+        if block is None:  # a cell's field is a slice of the block's rows, one item a row: copied whole
             texts = [before] + [between] * (len(columns) - 1) + [after]
-            widths = [spelled[i].shape[1] if line is None else line[0].shape[1] for i, line in enumerate(lines)] + [0]
+            widths = [spelled[i].itemsize if line is None else line[0].itemsize for i, line in enumerate(lines)] + [0]
             row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
             block = np.tile(np.frombuffer(row, dtype=np.uint8), (capacity, 1))
             ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
-            fields = [block[:, end - width:end] for end, width in zip(ends, widths)]
+            fields = [block[:, end - width:end].view(f"V{width}")[:, 0] for end, width in zip(ends, widths[:-1])]
         for field, line, once in zip(fields, lines, fixed):
             if line is None or once and lo:
                 continue
             text, stride = line
             if once:  # into the template, at the first block
-                field.reshape(-1, len(text), field.shape[1])[:] = text
+                field.reshape(-1, len(text))[:] = text
             elif stride == 1 < size:  # a slice of the fastest axis's line
                 field[:m] = text[lo % size:lo % size + m]
             elif per:  # one value per fastest-axis line
-                field[:m].reshape(-1, size, field.shape[1])[:] = text[np.arange(lo, hi, size) // stride % len(text), None]
+                field[:m].reshape(-1, size)[:] = text[np.arange(lo, hi, size) // stride % len(text), None]
             else:
                 field[:m] = text[lo // stride % len(text)]
         for i, part in spelled.items():

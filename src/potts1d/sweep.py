@@ -1,9 +1,9 @@
 """Deterministic parameter-grid evaluation and peak detection.
 
 Grids are linear with inclusive endpoints and finite points, and a GridSpec
-refuses an invalid point when it is built.  A sweep lays out one column per
-parameter in grid-index order and evaluates the thermodynamic kernel over
-them, so a table built twice from the same inputs is identical.
+refuses an invalid point when it is built.  A sweep evaluates the
+thermodynamic kernel over the grid, each quantity in the shape it varies in,
+so a table built twice from the same inputs is identical.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Columns in grid-index order plus the base context they were built from.
+    """Columns of the grid's shape plus the base context they were built from.
 
-    coords holds one column per axis.  columns maps beta, T, h, J, q, f, S,
-    m, chi and C, in that order, to one value per row; a parameter the grid
-    does not vary is a broadcast view of its base value.
+    coords holds one column per axis, and columns maps beta, T, h, J, q, f,
+    S, m, chi and C, in that order: each a read-only view of the grid's shape,
+    of stride 0 along each axis it does not vary along (.ravel(): row order).
     """
 
     axes: tuple[GridSpec, ...]
@@ -85,16 +85,19 @@ def _axis_values(grid: GridSpec) -> np.ndarray:
 def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> SweepTable:
     if base_state is None and not any(g.axis in ("beta", "T") for g in grids):
         raise ValueError("a base ThermoState is required unless beta or T is swept")
-    n = math.prod(g.steps for g in grids)
+    shape = tuple(g.steps for g in grids)
+    n = math.prod(shape)
     if n > MAX_GRID_POINTS:
         raise ValueError(f"the grid has {n} points, more than the grid-point cap of {MAX_GRID_POINTS}")
 
+    # A base value is 0-d and an axis a sparse line: what does not vary is computed once.
     base = dict(asdict(base_params), beta=base_state and base_state.beta)
-    for g, column in zip(grids, np.meshgrid(*map(_axis_values, grids), indexing="ij")):  # later axes override earlier ones
-        base["beta" if g.axis == "T" else g.axis] = column.ravel()
-    beta, h, J, q = (np.broadcast_to(base[name], n) for name in ("beta", "h", "J", "q"))
+    for g, line in zip(grids, np.meshgrid(*map(_axis_values, grids), indexing="ij", sparse=True)):  # later axes override earlier ones
+        base["beta" if g.axis == "T" else g.axis] = line
+    beta, h, J, q = (np.asarray(base[name]) for name in ("beta", "h", "J", "q"))
     columns = dict(beta=beta, T=temperature(beta), h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
-    coords = tuple(c.ravel() for c in np.meshgrid(*(g.points() for g in grids), indexing="ij"))
+    columns = {name: np.broadcast_to(c, shape) for name, c in columns.items()}
+    coords = tuple(np.broadcast_to(c, shape) for c in np.meshgrid(*(g.points() for g in grids), indexing="ij", sparse=True))
     return SweepTable(tuple(grids), coords, columns, base_params, base_state)
 
 

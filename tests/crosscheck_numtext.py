@@ -15,8 +15,10 @@ compared with '%.16e' % v and json.dumps(v).  Then TABLES seeded random
 grids of 1 or 2 axes (2 to 5,000 points on the fastest) with constant, line
 and varying columns, float and int, go through numtext.rows_text in both
 spellings, and each row is compared with the row spelled cell by cell by
-Python.  Prints the mismatch counts and exits 1 on any mismatch.  Its name
-keeps it out of the pytest run; it takes under a minute.
+Python.  A constant or line column is a broadcast view (stride 0 where it
+does not vary), or at times a full copy, which rows_text spells per block.
+Prints the mismatch counts and exits 1 on any mismatch.  Its name keeps it
+out of the pytest run; it takes under a minute.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def mismatches(values: np.ndarray, spell, python) -> int:
 
 
 def random_table(rng: np.random.Generator):
-    """(columns, grid) of a random grid: each column is constant, a line
-    along one axis, or varying, with float64 or int64 values."""
+    """Columns of a random grid's shape: each is constant, a line along one
+    axis, or varying, with float64 or int64 values."""
     fastest = int(rng.integers(2, 5001))
     grid = (fastest,) if rng.random() < 0.3 else (int(rng.integers(2, max(3, MAX_ROWS // fastest + 1))), fastest)
     columns = []
@@ -83,17 +85,18 @@ def random_table(rng: np.random.Generator):
             values = np.frombuffer(rng.bytes(8 * count), dtype=np.float64)
         else:  # magnitudes like those of a sweep's cells
             values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12.0, 12.0, count)
-        columns.append(np.broadcast_to(values.reshape(shape), grid).ravel())
-    return columns, grid
+        column = np.broadcast_to(values.reshape(shape), grid)
+        columns.append(np.ascontiguousarray(column) if kind != 1 and rng.random() < 0.3 else column)
+    return columns
 
 
 def table_mismatches(rng: np.random.Generator, spell, python) -> int:
     """Rows of random tables whose rows_text differs from Python's text."""
     bad = 0
     for _ in range(TABLES):
-        columns, grid = random_table(rng)
-        got = "".join(numtext.rows_text(columns, grid, spell, "[", ",", "]\n")).split("\n")[:-1]
-        cells = [[str(v) if c.dtype.kind == "i" else python(v) for v in c.tolist()] for c in columns]
+        columns = random_table(rng)
+        got = "".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).split("\n")[:-1]
+        cells = [[str(v) if c.dtype.kind == "i" else python(v) for v in c.ravel().tolist()] for c in columns]
         bad += sum(g != "[" + ",".join(row) + "]" for g, row in zip(got, zip(*cells))) + abs(len(got) - columns[0].size)
     return bad
 

@@ -1,8 +1,9 @@
 """Reference forms that only the tests use: a chain-by-chain energy for the
 enumeration, the value-form spectrum the dense eigendecomposition is
 compared against, the field where m vanishes, the free-energy ordering in
-q, a golden-section peak search, and the finite-N free energy.  None of them
-is run by a command, so none of them lives in the package."""
+q, a golden-section peak search, the finite-N free energy, and numtext's
+tables built by Python loops.  None of them is run by a command, so none of
+them lives in the package."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from potts1d import GridSpec, ModelParams, ThermoState, oracle
+from potts1d import GridSpec, ModelParams, ThermoState, numtext, oracle
 from potts1d.model import check_domain, require_finite
 from potts1d.thermo import coupling_exponent, spectrum_core
 from potts1d.transfer import partition_function
@@ -140,3 +141,54 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
     """Free energy per site of the N-site chain, -log(Z_N) / (beta * N): the
     value three_route_report gives, at one N."""
     return oracle._free_energy_per_site(params, state, N, partition_function(params, state, N))
+
+
+def numtext_tables():
+    """numtext._tables() built entry by entry with Python integers, bytes and
+    loops: the power-of-ten table and the byte tables of the field layout."""
+    WIDTH, _E_MIN, _E_MAX = numtext.WIDTH, numtext._E_MIN, numtext._E_MAX
+    hi, lo, t = [], [], []
+    for s in range(numtext._S_MIN, numtext._S_MAX + 1):
+        # x = floor(10**s * 2**(120 - t)) with 10**s / 2**t in [1, 2)
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        t.append(num.bit_length() - den.bit_length() - (s < 0))
+        x = (num << max(0, 120 - t[-1])) // (den << max(0, t[-1] - 120))
+        h = float(x)
+        hi.append(h)
+        lo.append(float(x - int(h)))
+    hi, lo, t = np.ldexp(np.array(hi), -120), np.ldexp(np.array(lo), -120), np.array(t, dtype=np.int64)
+
+    def words(texts):  # byte strings of up to 8 bytes as little-endian words
+        return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)
+
+    # the digits of each group 0000..9999, in the low half of a word
+    quad = words(b"%04d" % v for v in range(10_000))
+    # 'e', the exponent's sign and digits, from byte 2 of a word
+    suffix = words(b"\0\0e%+03d" % e for e in range(_E_MIN, _E_MAX + 1))
+
+    def field(text=b"", at=0, spans=()):  # a field of `text` at byte `at`, 0xff over spans
+        b = bytearray(WIDTH)
+        b[at:at + len(text)] = text
+        for start, end in spans:
+            b[start:end] = b"\xff" * (end - start)
+        return list(np.frombuffer(bytes(b), dtype="<u8"))
+
+    # A `shortest` field by case: each digit count c of d1.d2...dc for each
+    # notation, scientific or 0.d1d2...dc * 10**d with d = -3..16.  It keeps
+    # the bytes `keep` of the `e16` field F, takes the bytes `moved` of F
+    # shifted up `shift` bits, and adds `text`: a 0.000 prefix or a point.
+    shape = []
+    for d in [None] + list(range(-3, 17)):
+        for c in range(1, 18):
+            if d is None:  # d1[.d2...dc]e+XX: the digits not shown are cleared
+                keep, moved, text, shift = [(0, 2 + (c > 1)), (3, c + 2), (19, WIDTH)], [], field(), 0
+            elif d > 0:  # d1...dd.d(d+1)...: the digits after the point move up a byte; .0 is digit d + 1
+                keep, moved, text, shift = [(0, 2), (3, d + 2)], [(d + 3, max(c, d + 1) + 3)], field(b".", d + 2), 8
+            else:  # 0.000d1d2...: the digits move up past the prefix, and F's point is left out
+                keep, moved = [(0, 1)], [(3 - d, 4 - d), (5 - d, c + 4 - d)]
+                text, shift = field(b"0." + b"0" * -d, 1), 8 * (2 - d)
+            shape.append(field(spans=keep) + field(spans=moved) + text + [shift])
+    keep, moved, text, (shift,) = np.split(np.array(shape, dtype=np.uint64).T.copy(), [3, 6, 9])
+    # by the row of the exponent d - 1: the first case of its notation, less one
+    notation = np.array([17 * (-3 <= d <= 16 and d + 4) - 1 for d in range(_E_MIN + 1, _E_MAX + 2)])
+    return hi, lo, t, quad, suffix, keep, moved, text, shift, notation

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -243,8 +244,40 @@ def test_surface_matches_library_route(tmp_path):
     text = _text(table_to_csv, table)
     rows = [r.split(",") for r in text.strip().split("\n")[1:]]
     assert len(rows) == 9
-    for row, f in zip(rows, table.columns["f"]):
+    for row, f in zip(rows, table.columns["f"].ravel()):
         assert float(row[-5]) == pytest.approx(f, rel=1e-15)
+
+
+# SHA-256 of the tables of test_table_bytes_are_pinned, taken with Python
+# 3.11.7 and numpy 2.4.6 on an x86-64 CPU with AVX-512.  A numpy or CPU whose
+# exp and log round differently in the last place changes them; retake them
+# there from an unchanged checkout, never from the change under test.
+TABLE_DIGESTS = {
+    ("beta x h", "csv"): "c73aafa0e3045e31db8bfc8bda9d277718d7faa746f6793d16906d1d5f52ee60",
+    ("beta x h", "json"): "9b9e7c00dea78788839813bc425c986ddcfc587f27ddb1669c50f31da4e9f98e",
+    ("T x J", "csv"): "f7b1f1b7f86f4d565cf612ef34fb302f9b4d0b21d499a5b0a05f60ef978c2c06",
+    ("T x J", "json"): "75dcd0f3e805493c6296f6bbd05c562339849ebf7c5cd364d63a416f8598e267",
+    ("h x J", "csv"): "02de09736ba8447876248f42b98d1846bb7d7f0a54bac45d3cc42158e00bfabc",
+    ("h x J", "json"): "adfb4e1eb822b7e8825fd12181dba880d4ffe7ed3869289ea2863676b063a7b2",
+    ("T", "csv"): "63d9541a4fa2dbd60e196ffc970d85d6fc785cfe5e6000a040c6cdc994995cda",
+    ("T", "json"): "3de63e419b3b1ed4fa7ae4212d1b1a84be51f61e1f5f9f405db6751b15ec4e5a",
+}
+
+
+def test_table_bytes_are_pinned():
+    # The three axis pairs of the benchmark's 200 x 121 surfaces and a 1-D
+    # sweep, in both formats.  Smaller grids miss numpy's long-array SIMD
+    # loops, so the sizes stay.
+    base = ModelParams(7, -0.7, 0.3), ThermoState(1.3)
+    tables = {
+        "beta x h": sweep_2d(*base, GridSpec("beta", 0.001, 30.0, 200), GridSpec("h", -3.0, 3.0, 121)),
+        "T x J": sweep_2d(*base, GridSpec("T", 0.05, 20.0, 200), GridSpec("J", -12.0, 12.0, 121)),
+        "h x J": sweep_2d(*base, GridSpec("h", -3.0, 3.0, 200), GridSpec("J", -12.0, 12.0, 121)),
+        "T": sweep_1d(*base, GridSpec("T", 0.05, 20.0, 5000)),
+    }
+    digests = {(name, fmt): hashlib.sha256(_text(write, table).encode()).hexdigest()
+               for name, table in tables.items() for fmt, write in (("csv", table_to_csv), ("json", table_to_json))}
+    assert digests == TABLE_DIGESTS
 
 
 def test_verify_command_pass_and_fail(capsys):
@@ -310,11 +343,28 @@ def test_full_output_device_is_a_domain_error(capsys):
         assert captured.err == "cannot write output file '/dev/full': No space left on device\n"
 
 
-def _potts1d_process(argv, stdout):
+def _child_env():  # the environment of a child interpreter that imports this potts1d
     src = str(Path(potts1d.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _potts1d_process(argv, stdout):
     return subprocess.Popen([sys.executable, "-m", "potts1d", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                            env=env, text=True)
+                            env=_child_env(), text=True)
+
+
+def test_commands_without_a_table_do_not_import_numtext():
+    # cli._rows_text imports numtext when a table is written, and only then
+    code = ("import contextlib, io, sys\n"
+            "from potts1d.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    statuses = [main(argv.split()) for argv in sys.argv[1:]]\n"
+            "print(statuses, 'potts1d.numtext' in sys.modules)\n")
+    runs = ["point --q 3 --J 1 --h 0.5 --beta 0.7", "verify --q 3 --J 1 --h 0.5 --beta 0.7",
+            "peaks --q 3 --J 1 --beta 0.7 --axis h --min -2 --max 2 --steps 41"]
+    child = subprocess.run([sys.executable, "-c", code, *runs], env=_child_env(), capture_output=True, text=True,
+                           timeout=60)
+    assert (child.stdout, child.stderr) == ("[0, 0, 0] False\n", "")
 
 
 def test_closed_stdout_pipe_exits_without_traceback():

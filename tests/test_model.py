@@ -143,7 +143,7 @@ def test_weight_energy_identity():
             a = -1.0 if sites[i] == sites[(i + 1) % n] else 1.0
             product *= math.exp((state.beta * params.J + params.h) * a)
         lhs = math.exp(-state.beta * config_energy(config, params, state))
-        assert lhs == pytest.approx(product, rel=1e-12)
+        assert lhs == pytest.approx(product, rel=1e-12, abs=0.0)
 
 
 def test_energy_invariant_under_alphabet_permutation():

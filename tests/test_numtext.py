@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from potts1d import ModelParams, ThermoState, numtext
 from potts1d.cli import table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
+from reference import numtext_tables
 
 
 def _texts(fields):
@@ -88,14 +89,14 @@ def test_python_spells_no_more_values_of_a_surface_than_before(monkeypatch):
         calls = []
         monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python: spell(
             x, shortest, lambda v: calls.append(v) or python(v)))
-        assert "".join(numtext.rows_text(columns, (200, 121), getattr(numtext, name), "", ",", "\n")).count("\n") == len(table)
+        assert "".join(numtext.rows_text(columns, getattr(numtext, name), "", ",", "\n")).count("\n") == len(table)
         assert len(calls) <= before, (name, calls)
 
 
 def _reference_text(table):
     """CSV and JSON of a table spelled cell by cell by Python."""
     names = [g.axis for g in table.axes] + list(table.columns)
-    columns = [c.tolist() for c in table.coords + tuple(table.columns.values())]
+    columns = [c.ravel().tolist() for c in table.coords + tuple(table.columns.values())]
     rows = list(zip(*columns))
     csv = ",".join(names) + "\n" + "".join(
         ",".join(str(v) if isinstance(v, int) else "%.16e" % v for v in row) + "\n" for row in rows
@@ -145,7 +146,6 @@ def test_tables_are_written_as_python_spells_each_cell():
 
 
 def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
-    grid = (200, 121)
     table, columns = _surface_200_by_121()
     # the float lines: beta and h as coordinates, then beta, T, h and the constant J
     lines = 200 + 121 + 200 + 200 + 121 + 1
@@ -158,7 +158,7 @@ def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
             sizes.append(values.size)
             return spell(values)
 
-        assert "".join(numtext.rows_text(columns, grid, spy, "", ",", "\n")).count("\n") == len(table)
+        assert "".join(numtext.rows_text(columns, spy, "", ",", "\n")).count("\n") == len(table)
         assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
 
 
@@ -166,14 +166,22 @@ def test_longest_spellings_survive_rows_text():
     # the longest text of each kind in every path: spelled per block (x and
     # the int64 extremes), on a repeated line (inner, outer) and constant
     longest = [-1.2345678901234567e-308, -0.00012345678901234567, -1234567890123456.7, -math.inf]
-    x = np.array(longest + longest[::-1])
-    inner, outer = np.tile(longest, 2), np.repeat(longest[:2], 4)
-    q = np.full(8, 2**63 - 1)
-    columns = [x, inner, outer, q, np.array([2**63 - 1, -(2**63)] + list(range(6))), np.full(8, -math.inf)]
+    x = np.array(longest + longest[::-1]).reshape(2, 4)
+    inner, outer = np.broadcast_to(longest, (2, 4)), np.broadcast_to(np.array(longest[:2])[:, None], (2, 4))
+    q = np.broadcast_to(2**63 - 1, (2, 4))
+    ints = np.array([2**63 - 1, -(2**63)] + list(range(6))).reshape(2, 4)
+    columns = [x, inner, outer, q, ints, np.broadcast_to(-math.inf, (2, 4))]
     for spell, python in ((numtext.e16, "%.16e".__mod__), (numtext.shortest, json.dumps)):
-        text = "".join(numtext.rows_text(columns, (2, 4), spell, "[", ",", "]\n"))
-        cells = [[str(v) if isinstance(v, int) else python(v) for v in c.tolist()] for c in columns]
+        text = "".join(numtext.rows_text(columns, spell, "[", ",", "]\n"))
+        cells = [[str(v) if isinstance(v, int) else python(v) for v in c.ravel().tolist()] for c in columns]
         assert text == "".join("[" + ",".join(row) + "]\n" for row in zip(*cells))
+
+
+def test_tables_equal_the_ones_built_by_python_loops():
+    names = ("hi", "lo", "t", "quad", "suffix", "keep", "moved", "text", "shift", "notation")
+    for name, got, want in zip(names, numtext._tables(), numtext_tables(), strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
 
 
 def test_text_longer_than_a_field_is_refused():

@@ -203,12 +203,22 @@ def test_sweep_2d_row_major_order():
         GridSpec("h", -1.0, 1.0, 2),
     )
     assert len(table) == 4
-    assert list(zip(*(c.tolist() for c in table.coords))) == [
+    assert list(zip(*(c.ravel().tolist() for c in table.coords))) == [
         (1.0, -1.0),
         (1.0, 1.0),
         (2.0, -1.0),
         (2.0, 1.0),
     ]
+
+
+def test_sweep_2d_columns_keep_the_shape_they_vary_in():
+    # grid-shaped, read-only, and of stride 0 along each axis a column does not vary along
+    table = sweep_2d(ModelParams(3, 0.5, 0.1), ThermoState(1.0), GridSpec("beta", 0.5, 2.0, 4), GridSpec("h", -1.0, 1.0, 3))
+    columns = table.coords + tuple(table.columns.values())
+    assert all(c.shape == (4, 3) and not c.flags.writeable for c in columns)
+    x, y, both, neither = (True, False), (False, True), (True, True), (False, False)
+    assert [tuple(s != 0 for s in c.strides) for c in columns] == [x, y, x, x, y, neither, neither] + [both] * 5
+    assert len(table) == 12 and table.columns["f"].ravel().size == 12
 
 
 def test_sweep_2d_rows_bit_identical_to_thermo_point():
@@ -223,7 +233,7 @@ def test_sweep_2d_rows_bit_identical_to_thermo_point():
     }
     for gx, gy in (("beta", "h"), ("T", "J"), ("h", "J"), ("q", "beta")):
         table = sweep_2d(base, ThermoState(0.7), grids[gx], grids[gy])
-        c = {name: col.tolist() for name, col in table.columns.items()}
+        c = {name: col.ravel().tolist() for name, col in table.columns.items()}
         for i in range(len(table)):
             point = thermo_point(ModelParams(c["q"][i], c["J"][i], c["h"][i]), ThermoState(c["beta"][i]))
             for name in ("f", "S", "m", "chi", "C"):
@@ -251,7 +261,7 @@ def test_sweep_2d_antiferromagnetic_surface_is_finite():
     )
     assert len(table) == 84
     for name in ("f", "S", "m", "chi", "C"):
-        for v in table.columns[name]:
+        for v in table.columns[name].ravel():
             assert math.isfinite(v)
 
 
@@ -265,7 +275,7 @@ def test_sweep_2d_ferromagnetic_surface_monotone_where_entropy_positive():
         GridSpec("beta", 0.001, 30.0, 40),
     )
     by_h = {}
-    for h, f in zip(table.coords[0].tolist(), table.columns["f"].tolist()):
+    for h, f in zip(table.coords[0].ravel().tolist(), table.columns["f"].ravel().tolist()):
         by_h.setdefault(h, []).append(f)
     for h, fs in by_h.items():
         assert h + math.log(15.0) > 0.0
