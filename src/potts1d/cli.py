@@ -7,8 +7,9 @@ gives, numbers at full precision.  Cells are spelled by numtext, whole
 arrays at a time and byte for byte as Python spells them: a column of
 stride 0 along every grid axis but one is spelled once per value along
 that axis, the others in blocks of whole lines of the grid's last axis, up
-to 2,048 rows (or 2,048-row slices of a longer line).  Text is written in
-pieces of 256 rows as it is made, so the whole table is never held as text.
+to 2,048 rows (or 2,048-row slices of a longer line).  Rows are written as
+ASCII bytes, never decoded to str, to the file or to stdout's binary buffer,
+in pieces of 256 rows as they are made, so the whole table is never held.
 A JSON config file can mirror any flag; explicit flags override its values.
 """
 
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import TextIO
+from typing import BinaryIO
 
 from .model import ModelParams, ThermoState
 from .oracle import three_route_report
@@ -59,14 +60,14 @@ def table_columns(table: SweepTable) -> list[str]:
     return [g.axis for g in table.axes] + list(table.columns)
 
 
-def table_to_csv(table: SweepTable, out: TextIO) -> None:
+def table_to_csv(table: SweepTable, out: BinaryIO) -> None:
     """Write the header and one row per grid point, cells as '%.16e' % v."""
-    out.write(",".join(table_columns(table)) + "\n")
+    out.write((",".join(table_columns(table)) + "\n").encode("ascii"))
     for text in _rows_text(table, False, "", ",", "\n"):
         out.write(text)
 
 
-def table_to_json(table: SweepTable, out: TextIO) -> None:
+def table_to_json(table: SweepTable, out: BinaryIO) -> None:
     """Write the text json.dumps gives for {"metadata": ..., "rows": [...]}.
 
     The metadata's base value of a swept parameter is null: the grid, not
@@ -79,12 +80,26 @@ def table_to_json(table: SweepTable, out: TextIO) -> None:
         "grids": [asdict(g) for g in table.axes],
         "columns": table_columns(table),
     }
-    out.write(json.dumps({"metadata": meta, "rows": []})[:-2])
+    out.write(json.dumps({"metadata": meta, "rows": []})[:-2].encode("ascii"))
     pieces = _rows_text(table, True, ", [", ", ", "]")
     out.write(next(pieces)[2:])  # no separator before the first row
     for text in pieces:
         out.write(text)
-    out.write("]}")
+    out.write(b"]}")
+
+
+class _Stdout:
+    """sys.stdout as a binary stream: every byte goes to its buffer (a raw file,
+    whose write may take fewer, under PYTHONUNBUFFERED), or as text if it has none."""
+
+    def write(self, data: bytes) -> None:
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(data.decode("ascii"))
+            return
+        view = memoryview(data)
+        while view:
+            view = view[buffer.write(view):]
 
 
 def _add_model_flags(sub):
@@ -212,16 +227,11 @@ def _resolve_params(args, parser, skip: set[str]) -> ModelParams:
 
 
 def _resolve_grid(args, parser, suffix: str = "") -> GridSpec:
-    missing = [f"--{k}{suffix}" for k in ("axis", "min", "max", "steps")
-               if getattr(args, k + suffix) is None]
+    values = {k: getattr(args, k + suffix) for k in ("axis", "min", "max", "steps")}
+    missing = [f"--{k}{suffix}" for k, v in values.items() if v is None]
     if missing:
         parser.error(f"missing grid flags: {', '.join(missing)}")
-    return GridSpec(
-        axis=getattr(args, "axis" + suffix),
-        min=getattr(args, "min" + suffix),
-        max=getattr(args, "max" + suffix),
-        steps=getattr(args, "steps" + suffix),
-    )
+    return GridSpec(**values)
 
 
 def parse_run_config(argv) -> RunConfig:
@@ -273,10 +283,11 @@ def run(config: RunConfig) -> int:
         table = sweep(config.params, config.state, *config.grids)
         write = table_to_csv if config.format == "csv" else table_to_json
         if config.out is None:
-            write(table, sys.stdout)
+            sys.stdout.flush()  # text printed before goes first
+            write(table, _Stdout())
         else:
             try:
-                fh = open(config.out, "w", newline="\n")
+                fh = open(config.out, "wb")
             except OSError as err:
                 raise ValueError(f"cannot open output file {config.out!r}: {err.strerror}") from err
             try:

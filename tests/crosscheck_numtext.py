@@ -95,7 +95,7 @@ def table_mismatches(rng: np.random.Generator, spell, python) -> int:
     bad = 0
     for _ in range(TABLES):
         columns = random_table(rng)
-        got = "".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).split("\n")[:-1]
+        got = b"".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).decode("ascii").split("\n")[:-1]
         cells = [[str(v) if c.dtype.kind == "i" else python(v) for v in c.ravel().tolist()] for c in columns]
         bad += sum(g != "[" + ",".join(row) + "]" for g, row in zip(got, zip(*cells))) + abs(len(got) - columns[0].size)
     return bad

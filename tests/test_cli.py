@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -20,10 +21,14 @@ from potts1d.cli import main, parse_run_config, run, table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
 
 
-def _text(write, table):
-    buf = io.StringIO()
+def _bytes(write, table):
+    buf = io.BytesIO()
     write(table, buf)
     return buf.getvalue()
+
+
+def _text(write, table):
+    return _bytes(write, table).decode("ascii")
 
 
 def _parse_point_output(text):
@@ -275,7 +280,7 @@ def test_table_bytes_are_pinned():
         "h x J": sweep_2d(*base, GridSpec("h", -3.0, 3.0, 200), GridSpec("J", -12.0, 12.0, 121)),
         "T": sweep_1d(*base, GridSpec("T", 0.05, 20.0, 5000)),
     }
-    digests = {(name, fmt): hashlib.sha256(_text(write, table).encode()).hexdigest()
+    digests = {(name, fmt): hashlib.sha256(_bytes(write, table)).hexdigest()
                for name, table in tables.items() for fmt, write in (("csv", table_to_csv), ("json", table_to_json))}
     assert digests == TABLE_DIGESTS
 
@@ -509,6 +514,75 @@ def test_config_file_string_is_converted_as_on_the_command_line(tmp_path, capsys
     assert "(N=6)" in from_file
     assert _run_with_config(tmp_path, argv, {"n": "six"}) == 2
     assert "argument --n: invalid int value: 'six'" in capsys.readouterr().err
+
+
+# A sweep over two blocks and a surface over one, each larger than a pipe's buffer
+TABLE_ARGV = {
+    "sweep": ["sweep", "--q", "3", "--J", "1", "--h", "0.5", "--axis", "T", "--min", "0.05", "--max", "20",
+              "--steps", "3000"],
+    "surface": ["surface", "--q", "5", "--J", "-0.7", "--axis", "beta", "--min", "0.5", "--max", "2", "--steps", "40",
+                "--axis2", "h", "--min2", "-1", "--max2", "1", "--steps2", "30"],
+}
+
+
+def _out_bytes(tmp_path, argv):
+    path = tmp_path / "table.out"
+    assert main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+class _Trickle(io.RawIOBase):
+    """A raw binary stream whose write takes at most 1000 bytes."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:1000])
+        return min(len(b), 1000)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["sweep", "surface"])
+def test_stdout_gets_the_bytes_of_out(command, fmt, tmp_path, capsys, monkeypatch):
+    argv = [*TABLE_ARGV[command], "--format", fmt]
+    want = _out_bytes(tmp_path, argv)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == want
+    # a text stream without a binary buffer gets the same text
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode() == want
+    # text printed earlier and still in the stream's own buffer goes first
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stream)
+    print("before")
+    assert main(argv) == 0
+    assert stream.buffer.getvalue() == b"before\n" + want
+    # a raw buffer that takes fewer bytes than it is given, as stdout's is
+    # under PYTHONUNBUFFERED, still receives all of them
+    trickle = _Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(trickle, encoding="ascii", write_through=True))
+    assert main(argv) == 0
+    assert trickle.data == want
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_stdout_pipe_of_a_child_gets_the_bytes_of_out(unbuffered, tmp_path):
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; print(type(sys.stdout.buffer).__name__)"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert child.stdout == (b"FileIO\n" if unbuffered else b"BufferedWriter\n")
+    for command, fmt in [(command, fmt) for command in TABLE_ARGV for fmt in ("csv", "json")]:
+        argv = [*TABLE_ARGV[command], "--format", fmt]
+        child = subprocess.run([sys.executable, "-m", "potts1d", *argv], env=env, capture_output=True, timeout=60)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == _out_bytes(tmp_path, argv), (command, fmt)
 
 
 def test_sweep_stdout_default(capsys):

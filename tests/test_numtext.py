@@ -89,12 +89,12 @@ def test_python_spells_no_more_values_of_a_surface_than_before(monkeypatch):
         calls = []
         monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python: spell(
             x, shortest, lambda v: calls.append(v) or python(v)))
-        assert "".join(numtext.rows_text(columns, getattr(numtext, name), "", ",", "\n")).count("\n") == len(table)
+        assert b"".join(numtext.rows_text(columns, getattr(numtext, name), "", ",", "\n")).count(b"\n") == len(table)
         assert len(calls) <= before, (name, calls)
 
 
 def _reference_text(table):
-    """CSV and JSON of a table spelled cell by cell by Python."""
+    """CSV and JSON bytes of a table spelled cell by cell by Python."""
     names = [g.axis for g in table.axes] + list(table.columns)
     columns = [c.ravel().tolist() for c in table.coords + tuple(table.columns.values())]
     rows = list(zip(*columns))
@@ -112,7 +112,7 @@ def _reference_text(table):
         ],
         "columns": names,
     }
-    return csv, json.dumps({"metadata": meta, "rows": [list(row) for row in rows]})
+    return csv.encode(), json.dumps({"metadata": meta, "rows": [list(row) for row in rows]}).encode()
 
 
 def test_tables_are_written_as_python_spells_each_cell():
@@ -139,7 +139,7 @@ def test_tables_are_written_as_python_spells_each_cell():
         sweep_1d(*base, GridSpec("J", -12.0, 12.0, 3 * numtext.BLOCK_ROWS + 5)),
     ]
     for table in tables:
-        csv, text = io.StringIO(), io.StringIO()
+        csv, text = io.BytesIO(), io.BytesIO()
         table_to_csv(table, csv)
         table_to_json(table, text)
         assert (csv.getvalue(), text.getvalue()) == _reference_text(table), [g.axis for g in table.axes]
@@ -158,7 +158,7 @@ def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
             sizes.append(values.size)
             return spell(values)
 
-        assert "".join(numtext.rows_text(columns, spy, "", ",", "\n")).count("\n") == len(table)
+        assert b"".join(numtext.rows_text(columns, spy, "", ",", "\n")).count(b"\n") == len(table)
         assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
 
 
@@ -170,9 +170,12 @@ def test_longest_spellings_survive_rows_text():
     inner, outer = np.broadcast_to(longest, (2, 4)), np.broadcast_to(np.array(longest[:2])[:, None], (2, 4))
     q = np.broadcast_to(2**63 - 1, (2, 4))
     ints = np.array([2**63 - 1, -(2**63)] + list(range(6))).reshape(2, 4)
-    columns = [x, inner, outer, q, ints, np.broadcast_to(-math.inf, (2, 4))]
+    # short cells that Python spells (nan, +-inf, subnormals) side by side and
+    # next to the int64 extremes: a 24-byte field of "nan" holds 21 zero bytes
+    short = np.array([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 0.0, -0.0]).reshape(2, 4)
+    columns = [x, inner, outer, q, ints, short, short[::-1, ::-1], ints[::-1], np.broadcast_to(-math.inf, (2, 4))]
     for spell, python in ((numtext.e16, "%.16e".__mod__), (numtext.shortest, json.dumps)):
-        text = "".join(numtext.rows_text(columns, spell, "[", ",", "]\n"))
+        text = b"".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).decode("ascii")
         cells = [[str(v) if isinstance(v, int) else python(v) for v in c.ravel().tolist()] for c in columns]
         assert text == "".join("[" + ",".join(row) + "]\n" for row in zip(*cells))
 
