@@ -21,28 +21,29 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import BinaryIO
 
 from .model import ModelParams, ThermoState
 from .oracle import three_route_report
-from .sweep import GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
+from .sweep import OBSERVABLES, GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
 from .thermo import fd_verify, thermo_point
 
 
 @dataclass
 class RunConfig:
-    """Validated bundle of one command invocation."""
+    """Validated bundle of one command invocation.  The defaults are the
+    flags' defaults, which a command without the flag keeps."""
 
     command: str
     params: ModelParams | None
     state: ThermoState | None
     grids: tuple[GridSpec, ...]
-    out: str | None
-    format: str
-    n: int
-    tolerance: float
-    observable: str
+    out: str | None = None
+    format: str = "csv"
+    n: int = 6
+    tolerance: float = 1e-10
+    observable: str = "chi"
 
 
 def _rows_text(table: SweepTable, shortest: bool, before: str, between: str, after: str):
@@ -103,40 +104,55 @@ class _Stdout:
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--q", type=int, default=None, help="spin-state count (>= 2)")
-    sub.add_argument("--J", type=float, default=None, help="exchange coupling")
-    sub.add_argument("--h", type=float, default=None, help="agreement field")
-    sub.add_argument("--beta", type=float, default=None, help="inverse temperature")
-    sub.add_argument("--T", type=float, default=None, help="temperature (alternative to --beta)")
-    sub.add_argument("--config", default=None, help="JSON file mirroring flags; flags override")
+    sub.add_argument("--q", type=int, help="spin-state count (>= 2)")
+    sub.add_argument("--J", type=float, help="exchange coupling")
+    sub.add_argument("--h", type=float, help="agreement field")
+    thermal = sub.add_mutually_exclusive_group()
+    thermal.add_argument("--beta", type=float, help="inverse temperature")
+    thermal.add_argument("--T", type=float, help="temperature (alternative to --beta)")
+    sub.add_argument("--config", help="JSON file mirroring flags; flags override")
 
 
-def _add_grid_flags(sub, second: bool = False):
-    sub.add_argument("--axis", default=None, help="grid axis: beta, T, h, J or q")
-    sub.add_argument("--min", type=float, default=None, help="grid lower endpoint")
-    sub.add_argument("--max", type=float, default=None, help="grid upper endpoint")
-    sub.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
-    if second:
-        sub.add_argument("--axis2", default=None, help="second grid axis")
-        sub.add_argument("--min2", type=float, default=None)
-        sub.add_argument("--max2", type=float, default=None)
-        sub.add_argument("--steps2", type=int, default=None)
+_GRID_FLAGS = ("axis", "min", "max", "steps")  # GridSpec's fields, in order
+
+
+def _add_grid_flags(sub, suffix: str):
+    grid = sub.add_argument_group("second grid" if suffix else "grid")
+    grid.add_argument(f"--axis{suffix}", help="grid axis: beta, T, h, J or q")
+    grid.add_argument(f"--min{suffix}", type=float, help="grid lower endpoint")
+    grid.add_argument(f"--max{suffix}", type=float, help="grid upper endpoint")
+    grid.add_argument(f"--steps{suffix}", type=int, help="number of grid points (>= 2)")
 
 
 def _add_output_flags(sub):
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--out", help="output path (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"), default=RunConfig.format,
+                     help="table format (default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse writes its help through a helper that swallows OSError; this
-    writes and flushes it directly, so a failed write reaches main.  Parsers
-    of the subcommands are built from the same class."""
+    """argparse, adapted in two ways; parsers of the subcommands are built
+    from the same class.  Help is written and flushed directly, since
+    argparse's helper swallows OSError, so a failed write reaches main.  And
+    an argument that float() reads is a value, never an option."""
 
     def print_help(self, file=None):
         file = sys.stdout if file is None else file
         file.write(self.format_help())
         file.flush()
+
+    def _parse_optional(self, arg_string):
+        # Overrides a private argparse method, which takes an argument that
+        # starts with '-' for an option unless it looks like -12 or -1.5, so
+        # that '--J -1e-05' and '--h -inf' failed.  tests/test_cli.py pins it.
+        # No number starts with '--', so a flag pays nothing for the check.
+        if arg_string.startswith("-") and not arg_string.startswith("--"):
+            try:
+                float(arg_string)
+                return None  # a value
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
 
 
 @functools.cache
@@ -155,28 +171,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("sweep", help="1D parameter sweep")
     _add_model_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, "")
     _add_output_flags(p)
 
     p = commands.add_parser("surface", help="2D parameter grid")
     _add_model_flags(p)
-    _add_grid_flags(p, second=True)
+    _add_grid_flags(p, "")
+    _add_grid_flags(p, "2")
     _add_output_flags(p)
 
     p = commands.add_parser("verify", help="three-route partition check plus derivative check")
     _add_model_flags(p)
-    p.add_argument("--n", type=int, default=None, help="chain length for the oracle routes (default 6)")
-    p.add_argument("--tolerance", type=float, default=None, help="relative tolerance (default 1e-10)")
+    p.add_argument("--n", type=int, default=RunConfig.n,
+                   help="chain length for the oracle routes (default %(default)s)")
+    p.add_argument("--tolerance", type=float, default=RunConfig.tolerance,
+                   help="relative tolerance (default %(default)s)")
 
     p = commands.add_parser("peaks", help="grid peak of one observable")
     _add_model_flags(p)
-    _add_grid_flags(p)
-    p.add_argument(
-        "--observable",
-        choices=("f", "S", "m", "chi", "C"),
-        default=None,
-        help="observable to maximize (default chi)",
-    )
+    _add_grid_flags(p, "")
+    p.add_argument("--observable", choices=OBSERVABLES, default=RunConfig.observable,
+                   help="observable to maximize (default %(default)s)")
 
     return parser
 
@@ -198,40 +213,11 @@ def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     for key, value in file_values.items():
         if key in ("command", "config") or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"config key {key!r} must hold a string or a number, got {json.dumps(value)}")
         if not (key in ("beta", "T") and thermal_flag_given):
             flags.append(f"--{key}={value}")
     return flags
-
-
-def _resolve_state(args, parser, required: bool) -> ThermoState | None:
-    if args.beta is not None and args.T is not None:
-        parser.error("give exactly one of --beta / --T")
-    if args.beta is not None:
-        return ThermoState(args.beta)
-    if args.T is not None:
-        return ThermoState.from_temperature(args.T)
-    if required:
-        parser.error("one of --beta / --T is required")
-    return None
-
-
-def _resolve_params(args, parser, skip: set[str]) -> ModelParams:
-    values = {}
-    for name, placeholder in (("q", 2), ("J", 0.0), ("h", 0.0)):
-        values[name] = getattr(args, name)
-        if values[name] is None:
-            if name not in skip:
-                parser.error(f"--{name} is required")
-            values[name] = placeholder  # replaced by the sweep axis
-    return ModelParams(**values)
-
-
-def _resolve_grid(args, parser, suffix: str = "") -> GridSpec:
-    values = {k: getattr(args, k + suffix) for k in ("axis", "min", "max", "steps")}
-    missing = [f"--{k}{suffix}" for k, v in values.items() if v is None]
-    if missing:
-        parser.error(f"missing grid flags: {', '.join(missing)}")
-    return GridSpec(**values)
 
 
 def parse_run_config(argv) -> RunConfig:
@@ -240,42 +226,41 @@ def parse_run_config(argv) -> RunConfig:
     args = parser.parse_args(argv)
     if args.config is not None:
         args = parser.parse_args(argv[:1] + _config_flags(args, parser) + argv[1:])
-    command = args.command
+    given = vars(args)
 
-    grids: tuple[GridSpec, ...] = ()
-    if command in ("sweep", "peaks", "surface"):
-        grids = (_resolve_grid(args, parser),)
-    if command == "surface":
-        grids += (_resolve_grid(args, parser, suffix="2"),)
-    params = _resolve_params(args, parser, skip={g.axis for g in grids})
-    state = _resolve_state(args, parser, required=not any(g.axis in ("beta", "T") for g in grids))
+    # A command needs its grid flags, and each of q, J, h and (beta or T)
+    # that no grid axis sets.  Complete grids are checked (exit 1) before the
+    # missing model flags are reported.
+    suffixes = [s for s in ("", "2") if f"axis{s}" in given]
+    axes = {given[f"axis{s}"] for s in suffixes}
+    needs = [(k + s,) for s in suffixes for k in _GRID_FLAGS]
+    needs += [need for need in (("q",), ("J",), ("h",), ("beta", "T")) if axes.isdisjoint(need)]
+    missing = [" or ".join(f"--{k}" for k in need) for need in needs if all(given[k] is None for k in need)]
+    grid_values = [[given[k + s] for k in _GRID_FLAGS] for s in suffixes]
+    grids = () if any(None in v for v in grid_values) else tuple(GridSpec(*v) for v in grid_values)
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
 
-    def _default(name, fallback):
-        value = getattr(args, name, None)
-        return fallback if value is None else value
-
-    tolerance = _default("tolerance", 1e-10)
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    return RunConfig(
-        command=command,
-        params=params,
-        state=state,
-        grids=grids,
-        out=getattr(args, "out", None),
-        format=_default("format", "csv"),
-        n=_default("n", 6),
-        tolerance=tolerance,
-        observable=_default("observable", "chi"),
-    )
+    swept = {g.axis: g.min for g in grids}  # stands in for a base the sweep replaces
+    params = ModelParams(*(swept[k] if given[k] is None else given[k] for k in ("q", "J", "h")))
+    state = None
+    if args.beta is not None:
+        state = ThermoState(args.beta)
+    elif args.T is not None:
+        state = ThermoState.from_temperature(args.T)
+    # a RunConfig field that the command has no flag for keeps its default
+    flags = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    config = RunConfig(params=params, state=state, grids=grids, **flags)
+    if not 0.0 <= config.tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {config.tolerance!r}")
+    return config
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated command; returns the process exit status."""
     if config.command == "point":
-        point = thermo_point(config.params, config.state)
-        for name in ("f", "S", "m", "chi", "C"):
-            print(f"{name} = {getattr(point, name)!r}")
+        for name, value in thermo_point(config.params, config.state)._asdict().items():
+            print(f"{name} = {value!r}")
         return 0
 
     if config.command in ("sweep", "surface"):

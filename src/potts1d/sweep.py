@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import ModelParams, ThermoState, check_domain, temperature
-from .thermo import thermo_arrays
+from .thermo import ThermoPoint, thermo_arrays
 
 GRID_AXES = ("beta", "T", "h", "J", "q")
-OBSERVABLES = ("f", "S", "m", "chi", "C")
+OBSERVABLES = ThermoPoint._fields
 
 # The most points one grid or one table may hold, checked before allocating:
 # a sweep and its CSV writer peaked at about 144 bytes per point (0.6 GB).

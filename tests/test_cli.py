@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import potts1d
 from potts1d import ModelParams, ThermoState, thermo_point
-from potts1d.cli import main, parse_run_config, run, table_to_csv, table_to_json
+from potts1d.cli import build_parser, main, parse_run_config, run, table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
 
 
@@ -102,6 +104,72 @@ def test_usage_errors_exit_two(capsys):
 def test_point_missing_param_is_usage_error(capsys):
     assert main(["point", "--J", "1", "--h", "0", "--beta", "1"]) == 2
     capsys.readouterr()
+
+
+def test_every_missing_flag_is_named_in_one_usage_error(capsys):
+    assert main(["surface"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --axis, --min, --max, --steps, --axis2, --min2, --max2, "
+        "--steps2, --q, --J, --h, --beta or --T\n")
+    # a grid axis sets its parameter: a q axis needs no --q, a T axis no --beta or --T
+    assert main(["sweep", "--J", "1", "--axis", "q", "--min", "2", "--max", "3", "--steps", "2"]) == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --h, --beta or --T\n")
+    assert main(["surface", "--J", "1", "--h", "0", "--axis", "q", "--min", "2", "--max", "3", "--steps", "2",
+                 "--axis2", "T", "--min2", "1", "--max2", "2", "--steps2", "2"]) == 0
+    capsys.readouterr()
+    # grid flags first, then the grid's own check (exit 1), then the model flags
+    assert main(["sweep", "--axis", "h", "--min", "1", "--max", "0"]) == 2
+    assert "required: --steps, --q, --J, --beta or --T\n" in capsys.readouterr().err
+    assert main(["sweep", "--axis", "h", "--min", "1", "--max", "0", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "min must be strictly less than max\n"
+
+
+def test_beta_and_temperature_exclude_each_other(tmp_path, capsys):
+    model = ["point", "--q", "3", "--J", "1", "--h", "0"]
+    assert main([*model, "--beta", "1", "--T", "2"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --T: not allowed with argument --beta\n")
+    assert _run_with_config(tmp_path, model, {"beta": 1.0, "T": 2.0}) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_help_shows_each_default(capsys):
+    for argv, defaults in ((["verify", "--help"], ("(default 6)", "(default 1e-10)")),
+                           (["peaks", "--help"], ("(default chi)",)),
+                           (["sweep", "--help"], ("(default csv)",))):
+        assert main(argv) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert all(default in out for default in defaults), argv
+
+
+def test_exponent_number_is_a_value_not_an_option(capsys):
+    # argparse once read -7.985984707303828e-05 as an option: exit 2 with
+    # "argument --J: expected one argument" (the benchmark's verify stream, seed 1823)
+    argv = ["verify", "--q", "3", "--J", "-7.985984707303828e-05", "--h", "2.3125265679489466",
+            "--beta", "0.014270666465036991", "--n", "13"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: PASS"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.floats(allow_nan=False)] * 5))
+def test_float_flags_parse_their_repr_bit_for_bit(values):
+    # each value a separate argument; -0.0, subnormals and infinities included
+    names = ("J", "h", "beta", "min", "max")
+    argv = ["sweep"] + [token for name, v in zip(names, values) for token in (f"--{name}", repr(v))]
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        raise AssertionError(f"usage error for {argv}") from None
+    assert [getattr(args, name).hex() for name in names] == [v.hex() for v in values]
+
+
+def test_non_finite_values_are_domain_errors(capsys):
+    model = ["point", "--q", "3", "--J", "1", "--h", "0", "--beta", "0.7"]
+    for flag, value, message in (("--h", "-inf", "h must be finite"), ("--J", "nan", "J must be finite")):
+        argv = list(model)
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == message + "\n"
 
 
 def test_sweep_csv_output(tmp_path):
@@ -485,6 +553,17 @@ def _run_with_config(tmp_path, argv, values):
 
 
 SWEEP_ARGV = ["sweep", "--q", "3", "--J", "1", "--h", "0", "--axis", "beta", "--min", "1", "--max", "2"]
+
+
+@pytest.mark.parametrize("value", [None, True, [1, 2], {"path": "x"}])
+def test_config_value_must_be_a_string_or_a_number(value, tmp_path, monkeypatch, capsys):
+    # "out": null once wrote the table to a file named None and exited 0
+    monkeypatch.chdir(tmp_path)
+    assert _run_with_config(tmp_path, [*SWEEP_ARGV, "--steps", "2"], {"out": value}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key 'out' must hold a string or a number, got {json.dumps(value)}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_config_file_choice_is_checked(tmp_path, capsys):
