@@ -26,7 +26,7 @@ from typing import BinaryIO
 
 from .model import ModelParams, ThermoState
 from .oracle import three_route_report
-from .sweep import OBSERVABLES, GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
+from .sweep import GRID_AXES, OBSERVABLES, GridSpec, SweepTable, find_peak, sweep_1d, sweep_2d
 from .thermo import fd_verify, thermo_point
 
 
@@ -118,7 +118,7 @@ _GRID_FLAGS = ("axis", "min", "max", "steps")  # GridSpec's fields, in order
 
 def _add_grid_flags(sub, suffix: str):
     grid = sub.add_argument_group("second grid" if suffix else "grid")
-    grid.add_argument(f"--axis{suffix}", help="grid axis: beta, T, h, J or q")
+    grid.add_argument(f"--axis{suffix}", choices=GRID_AXES, metavar=f"AXIS{suffix}", help="grid axis: %(choices)s")
     grid.add_argument(f"--min{suffix}", type=float, help="grid lower endpoint")
     grid.add_argument(f"--max{suffix}", type=float, help="grid upper endpoint")
     grid.add_argument(f"--steps{suffix}", type=int, help="number of grid points (>= 2)")

@@ -32,7 +32,7 @@ _DOMAIN = {
     "h": ((lambda v: ~np.isfinite(v), "h must be finite"),),
     "beta": ((lambda v: ~(v > 0.0) | (v == np.inf), "beta must be positive and finite"),),
     "T": ((lambda v: ~(v > 0.0) | (v == np.inf), "T must be positive and finite"),
-          (lambda v: v <= 2.0**-1024, "beta must be positive and finite")),
+          (lambda v: v <= 2.0**-1024, "beta = 1/T overflows")),
 }
 
 

@@ -292,10 +292,10 @@ def rows_text(columns, spell, before: str, between: str, after: str):
     A column that varies along one grid axis at most (its other axes have
     size 1 or stride 0, as np.broadcast_to gives) is spelled once per value of
     that line, all float lines in one call, at the width of its longest text.
-    Blocks of rows never straddle a fastest-axis line; their template holds
-    the separators, the constants and whole fastest-axis lines, and a slower
-    axis's line costs one gather per block.  The other columns are spelled
-    per block, those of one dtype in one call."""
+    Blocks of rows never straddle a fastest-axis line; a template built before
+    the first holds the separators, the constants and whole fastest-axis lines
+    that fit a block, and any other line costs one gather per block.  The
+    other columns are spelled per block, those of one dtype in one call."""
 
     def cells(values: np.ndarray) -> np.ndarray:
         return pack(map(str, values.tolist())) if values.dtype.kind in "iu" else spell(values)
@@ -325,35 +325,31 @@ def rows_text(columns, spell, before: str, between: str, after: str):
     capacity = per * size or BLOCK_ROWS
     span = max(size, capacity)  # no block straddles a multiple of span
     bounds = [(lo, min(lo + capacity, line + span, n)) for line in range(0, n, span) for lo in range(line, line + span, capacity)]
-    fixed = [line is not None and (len(line[0]) == 1 or per and line[1] == 1 < size) for line in lines]  # in the template
-    block = None
+    # a cell's field is a slice of the block's rows, one item a row: WIDTH bytes if spelled per block
+    texts = [before] + [between] * (len(columns) - 1) + [after]
+    widths = [WIDTH if line is None else line[0].itemsize for line in lines] + [0]
+    row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
+    block = np.tile(np.frombuffer(row, dtype=np.uint8), (capacity, 1))
+    ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
+    fields = [block[:, end - width:end].view(f"V{width}")[:, 0] for end, width in zip(ends, widths[:-1])]
+
+    def place(field, text, stride, lo, hi):  # rows lo..hi of a line: one gather, broadcast over runs of equal rows
+        run = min(stride, size, hi - lo)  # each run's value is text[row // stride % len(text)], as "wrap" takes it
+        field[:hi - lo].reshape(-1, run)[:] = text.take(np.arange(lo, hi, run) // stride, mode="wrap")[:, None]
+
+    for field, line in zip(fields, lines):  # the template, where a constant and whole fastest-axis lines stay
+        if line is not None:
+            place(field, *line, 0, capacity)
+    moving = [(field, *line) for field, line in zip(fields, lines) if line and len(line[0]) > 1 and not (per and line[1] == 1 < size)]
     for lo, hi in bounds:
-        m = hi - lo
-        spelled = {i: part for group in groups for i, part in
-                   zip(group, cells(np.concatenate([varying[i][lo:hi] for i in group])).view(f"V{WIDTH}").reshape(len(group), m))}
-        if block is None:  # a cell's field is a slice of the block's rows, one item a row: copied whole
-            texts = [before] + [between] * (len(columns) - 1) + [after]
-            widths = [spelled[i].itemsize if line is None else line[0].itemsize for i, line in enumerate(lines)] + [0]
-            row = b"".join(text.encode("ascii") + b"\0" * width for text, width in zip(texts, widths))
-            block = np.tile(np.frombuffer(row, dtype=np.uint8), (capacity, 1))
-            ends = np.cumsum([len(text) + width for text, width in zip(texts, widths)])
-            fields = [block[:, end - width:end].view(f"V{width}")[:, 0] for end, width in zip(ends, widths[:-1])]
-        for field, line, once in zip(fields, lines, fixed):
-            if line is None or once and lo:
-                continue
-            text, stride = line
-            if once:  # into the template, at the first block
-                field.reshape(-1, len(text))[:] = text
-            elif stride == 1 < size:  # a slice of the fastest axis's line
-                field[:m] = text[lo % size:lo % size + m]
-            elif per:  # one value per fastest-axis line
-                field[:m].reshape(-1, size)[:] = text[np.arange(lo, hi, size) // stride % len(text), None]
-            else:
-                field[:m] = text[lo // stride % len(text)]
-        for i, part in spelled.items():
-            fields[i][:m] = part
-        for first in range(0, m, PIECE_ROWS):
+        for field, text, stride in moving:
+            place(field, text, stride, lo, hi)
+        for group in groups:
+            parts = cells(np.concatenate([varying[i][lo:hi] for i in group])).view(f"V{WIDTH}").reshape(len(group), -1)
+            for i, part in zip(group, parts):
+                fields[i][:len(part)] = part
+        for first in range(0, hi - lo, PIECE_ROWS):
             # the zero bytes that pad each field are not text: 3-4 % of an `e16` block, which replace
             # drops faster than translate, and 17-18 % of a `shortest` block, where translate is faster
-            piece = block[first:min(first + PIECE_ROWS, m)].tobytes()
+            piece = block[first:min(first + PIECE_ROWS, hi - lo)].tobytes()
             yield piece.replace(b"\0", b"") if spell is e16 else piece.translate(None, b"\0")

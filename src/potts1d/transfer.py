@@ -44,7 +44,7 @@ def partition_function(params: ModelParams, state: ThermoState, N: int) -> float
     core = spectrum_core(q, coupling_exponent(params.J, params.h, state.beta))
     head = require_finite(N * float(core.log_lambda_max), "ln Z_N overflows",  # the rest adds at most ln q
                           q=q, J=params.J, h=params.h, beta=state.beta, N=N)
-    a = q * float(core.one_minus_r)  # 1 - w
+    a = q * float(core.one_minus_r)  # 1 + w
     with np.errstate(divide="ignore"):  # w rounds to 0 near u = 0, and z to -inf
         log_abs_w = float(np.log1p(-a) if a < 1.0 else np.log(a - 1.0))
     z = N * log_abs_w - (N - 1) * math.log(q - 1)

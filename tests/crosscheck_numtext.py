@@ -12,11 +12,13 @@ exponent, of either sign, each with both of its neighbouring doubles (repr
 shorter than 16 digits, which the other populations almost never give).
 Every value is spelled by numtext.e16 and numtext.shortest and
 compared with '%.16e' % v and json.dumps(v).  Then TABLES seeded random
-grids of 1 or 2 axes (2 to 5,000 points on the fastest) with constant, line
-and varying columns, float and int, go through numtext.rows_text in both
-spellings, and each row is compared with the row spelled cell by cell by
-Python.  A constant or line column is a broadcast view (stride 0 where it
-does not vary), or at times a full copy, which rows_text spells per block.
+grids of 1 to 3 axes (2 to 5,000 points on the fastest axis longer than 1,
+and at times an axis of size 1: before it, a line has stride 1 yet changes
+from block to block) with constant, line and varying columns, float and
+int, go through numtext.rows_text in both spellings, and each row is
+compared with the row spelled cell by cell by Python.  A constant or line
+column is a broadcast view (stride 0 where it does not vary), or at times a
+full copy, which rows_text spells per block.
 Prints the mismatch counts and exits 1 on any mismatch.  Its name keeps it
 out of the pytest run; it takes under a minute.
 """
@@ -69,10 +71,15 @@ def mismatches(values: np.ndarray, spell, python) -> int:
 
 
 def random_table(rng: np.random.Generator):
-    """Columns of a random grid's shape: each is constant, a line along one
-    axis, or varying, with float64 or int64 values."""
+    """Columns of a random grid's shape, of 1 to 3 axes: 1 or 2 axes of 2 to
+    5,000 points on the fastest, and at times an axis of size 1 anywhere among
+    them.  Each is constant, a line along one axis, or varying, with float64
+    or int64 values."""
     fastest = int(rng.integers(2, 5001))
     grid = (fastest,) if rng.random() < 0.3 else (int(rng.integers(2, max(3, MAX_ROWS // fastest + 1))), fastest)
+    if rng.random() < 0.5:  # before it, a line has stride 1 yet may change from block to block
+        at = int(rng.integers(len(grid) + 1))
+        grid = grid[:at] + (1,) + grid[at:]
     columns = []
     for _ in range(int(rng.integers(1, 9))):
         kind = rng.integers(len(grid) + 2)  # 0: constant, 1: varying, else a line along axis kind - 2

@@ -86,6 +86,8 @@ def test_out_of_range_inputs_are_domain_errors(tmp_path, capsys):
          "q^N at q=3, N=10000 exceeds the enumeration cap of 2000000 configurations"),
         ([*sweep, "--steps", "3", "--out", str(tmp_path / "missing" / "out.csv")],
          f"cannot open output file {str(tmp_path / 'missing' / 'out.csv')!r}: No such file or directory"),
+        # this once read "beta must be positive and finite", though no beta was given
+        (["point", "--q", "3", "--J", "1", "--h", "0.5", "--T", "1e-310"], "beta = 1/T overflows"),
     ]
     for argv, message in cases:
         assert main(argv) == 1, argv
@@ -572,6 +574,17 @@ def test_config_file_choice_is_checked(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --format: invalid choice: 'xml'" in captured.err
+
+
+def test_bad_grid_axis_is_a_usage_error(tmp_path, capsys):
+    # an axis outside GRID_AXES once exited 1 through GridSpec, unlike a bad --format
+    sweep = ["sweep", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "--min", "0", "--max", "1", "--steps", "2"]
+    assert main([*sweep, "--axis", "x"]) == 2
+    assert "argument --axis: invalid choice: 'x'" in capsys.readouterr().err
+    assert _run_with_config(tmp_path, sweep, {"axis": "x"}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --axis: invalid choice: 'x'" in captured.err
 
 
 def test_config_file_value_goes_through_the_flag_type(tmp_path, capsys):

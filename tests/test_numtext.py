@@ -137,6 +137,11 @@ def test_tables_are_written_as_python_spells_each_cell():
         sweep_2d(*base, GridSpec("h", -3.0, 3.0, 130), GridSpec("q", 2.0, 38.0, 37)),
         # a 1-D sweep over four blocks
         sweep_1d(*base, GridSpec("J", -12.0, 12.0, 3 * numtext.BLOCK_ROWS + 5)),
+        # q, an int line, on the slow axis of a fastest axis longer than a block
+        sweep_2d(*base, GridSpec("q", 2.0, 4.0, 3), GridSpec("h", -3.0, 3.0, numtext.BLOCK_ROWS + 7)),
+        # q as a fastest axis longer than a block
+        sweep_2d(*base, GridSpec("J", -12.0, 12.0, 2),
+                 GridSpec("q", 2.0, 2.0 + numtext.BLOCK_ROWS + 6, numtext.BLOCK_ROWS + 7)),
     ]
     for table in tables:
         csv, text = io.BytesIO(), io.BytesIO()
@@ -162,6 +167,13 @@ def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
         assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
 
 
+def _assert_rows_spelled_like_python(columns):
+    for spell, python in ((numtext.e16, "%.16e".__mod__), (numtext.shortest, json.dumps)):
+        rows = b"".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).decode("ascii").split("\n")
+        cells = [[str(v) if isinstance(v, int) else python(v) for v in c.ravel().tolist()] for c in columns]
+        assert rows == ["[" + ",".join(row) + "]" for row in zip(*cells)] + [""]  # a list: pytest names the first bad row
+
+
 def test_longest_spellings_survive_rows_text():
     # the longest text of each kind in every path: spelled per block (x and
     # the int64 extremes), on a repeated line (inner, outer) and constant
@@ -173,11 +185,23 @@ def test_longest_spellings_survive_rows_text():
     # short cells that Python spells (nan, +-inf, subnormals) side by side and
     # next to the int64 extremes: a 24-byte field of "nan" holds 21 zero bytes
     short = np.array([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 0.0, -0.0]).reshape(2, 4)
-    columns = [x, inner, outer, q, ints, short, short[::-1, ::-1], ints[::-1], np.broadcast_to(-math.inf, (2, 4))]
-    for spell, python in ((numtext.e16, "%.16e".__mod__), (numtext.shortest, json.dumps)):
-        text = b"".join(numtext.rows_text(columns, spell, "[", ",", "]\n")).decode("ascii")
-        cells = [[str(v) if isinstance(v, int) else python(v) for v in c.ravel().tolist()] for c in columns]
-        assert text == "".join("[" + ",".join(row) + "]\n" for row in zip(*cells))
+    _assert_rows_spelled_like_python(
+        [x, inner, outer, q, ints, short, short[::-1, ::-1], ints[::-1], np.broadcast_to(-math.inf, (2, 4))])
+
+
+@pytest.mark.parametrize("grid", [(5, 1), (3, 5, 1), (2, 1500, 1), (2, 3, 2100)])
+def test_lines_along_every_axis_survive_rows_text(grid):
+    # A float and an int line along each axis, a constant, and columns that
+    # vary along every axis.  Before an axis of size 1 a line has stride 1, as
+    # a fastest-axis line does, yet (2, 1500, 1) holds it over two blocks that
+    # start at different rows of it.
+    rng = np.random.default_rng(len(grid))
+    columns = [np.broadcast_to(-math.inf, grid), rng.normal(size=grid), rng.integers(-(2**63), 2**63 - 1, size=grid)]
+    for axis, k in enumerate(grid):
+        shape = [k if a == axis else 1 for a in range(len(grid))]
+        values = rng.normal(size=k) * 10.0 ** rng.integers(-30, 30, size=k)
+        columns += [np.broadcast_to(values.reshape(shape), grid), np.broadcast_to(np.arange(k).reshape(shape) - 2, grid)]
+    _assert_rows_spelled_like_python(columns)
 
 
 def test_tables_equal_the_ones_built_by_python_loops():

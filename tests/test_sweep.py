@@ -105,7 +105,7 @@ def test_sweep_invalid_grid_point_names_coordinate():
     with pytest.raises(ValueError, match=r"^invalid grid point T=0.0: T must be positive and finite$"):
         sweep_1d(params, None, GridSpec("T", 0.0, 1.0, 3))
     # 1/T overflows for a subnormal T
-    with pytest.raises(ValueError, match=r"^invalid grid point T=5e-324: beta must be positive and finite$"):
+    with pytest.raises(ValueError, match=r"^invalid grid point T=5e-324: beta = 1/T overflows$"):
         sweep_1d(params, None, GridSpec("T", 5e-324, 1.0, 3))
     # 2D: the first invalid point in grid-index order, x checked before y
     with pytest.raises(ValueError, match="T=0.0"):
