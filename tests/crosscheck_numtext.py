@@ -18,7 +18,10 @@ from block to block) with constant, line and varying columns, float and
 int, go through numtext.rows_text in both spellings, and each row is
 compared with the row spelled cell by cell by Python.  A constant or line
 column is a broadcast view (stride 0 where it does not vary), or at times a
-full copy, which rows_text spells per block.
+full copy, which rows_text spells per block.  Half the float columns get
+the cells a per-block field's width is chosen by: no negative cell, signed
+zeros, a three-digit exponent in one stretch of rows only (one block of
+rows_text or two) and non-finite cells, each in some of them.
 Prints the mismatch counts and exits 1 on any mismatch.  Its name keeps it
 out of the pytest run; it takes under a minute.
 """
@@ -92,9 +95,28 @@ def random_table(rng: np.random.Generator):
             values = np.frombuffer(rng.bytes(8 * count), dtype=np.float64)
         else:  # magnitudes like those of a sweep's cells
             values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-12.0, 12.0, count)
+        if values.dtype.kind == "f" and rng.random() < 0.5:
+            values = field_width_cases(rng, values)
         column = np.broadcast_to(values.reshape(shape), grid)
         columns.append(np.ascontiguousarray(column) if kind != 1 and rng.random() < 0.3 else column)
     return columns
+
+
+def field_width_cases(rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+    """values, each case at a chance of one half: without a sign (as a column
+    with no negative cell), with some cells 0.0 or -0.0, with a stretch of up to
+    100 rows at a three-digit exponent, and with some cells nan or +-inf."""
+    values = np.abs(values) if rng.random() < 0.5 else values.copy()
+    for cases in ([0.0, -0.0], None, [np.nan, np.inf, -np.inf]):
+        if rng.random() < 0.5:
+            if cases is None:
+                start = int(rng.integers(values.size))
+                stretch = values[start:start + int(rng.integers(1, 101))]
+                stretch[:] = np.copysign(10.0 ** (rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 300.0, stretch.size)), stretch)
+            else:
+                at = rng.integers(values.size, size=max(1, values.size // 100))
+                values[at] = rng.choice(cases, at.size)
+    return values
 
 
 def table_mismatches(rng: np.random.Generator, spell, python) -> int:

@@ -145,7 +145,8 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
 
 def numtext_tables():
     """numtext._tables() built entry by entry with Python integers, bytes and
-    loops: the power-of-ten table and the byte tables of the field layout."""
+    loops: the power-of-ten table (hi by its halves) and the byte tables of
+    the field layout."""
     WIDTH, _E_MIN, _E_MAX = numtext.WIDTH, numtext._E_MIN, numtext._E_MAX
     hi, lo, t = [], [], []
     for s in range(numtext._S_MIN, numtext._S_MAX + 1):
@@ -157,6 +158,11 @@ def numtext_tables():
         hi.append(h)
         lo.append(float(x - int(h)))
     hi, lo, t = np.ldexp(np.array(hi), -120), np.ldexp(np.array(lo), -120), np.array(t, dtype=np.int64)
+    halves = []
+    for h in hi.tolist():  # hi as its halves of 26 bits (Veltkamp's split)
+        c = 134217729.0 * h
+        halves.append((c - (c - h), h - (c - (c - h))))
+    hi = np.array(halves).T.copy()
 
     def words(texts):  # byte strings of up to 8 bytes as little-endian words
         return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)
@@ -175,17 +181,18 @@ def numtext_tables():
 
     # A `shortest` field by case: each digit count c of d1.d2...dc for each
     # notation, scientific or 0.d1d2...dc * 10**d with d = -3..16.  It keeps
-    # the bytes `keep` of the `e16` field F, takes the bytes `moved` of F
-    # shifted up `shift` bits, and adds `text`: a 0.000 prefix or a point.
+    # the bytes `keep` of the field F of its digits (d1...d17 from byte 1),
+    # takes the bytes `moved` of F shifted up `shift` bits, and adds `text`: a
+    # point or a 0.000 prefix.
     shape = []
     for d in [None] + list(range(-3, 17)):
         for c in range(1, 18):
-            if d is None:  # d1[.d2...dc]e+XX: the digits not shown are cleared
-                keep, moved, text, shift = [(0, 2 + (c > 1)), (3, c + 2), (19, WIDTH)], [], field(), 0
+            if d is None:  # d1[.d2...dc]e+XX: the digits after d1 move up a byte, those not shown are cleared
+                keep, moved, text, shift = [(0, 2), (19, WIDTH)], [(3, c + 2)], field(b"." * (c > 1), 2), 8
             elif d > 0:  # d1...dd.d(d+1)...: the digits after the point move up a byte; .0 is digit d + 1
-                keep, moved, text, shift = [(0, 2), (3, d + 2)], [(d + 3, max(c, d + 1) + 3)], field(b".", d + 2), 8
-            else:  # 0.000d1d2...: the digits move up past the prefix, and F's point is left out
-                keep, moved = [(0, 1)], [(3 - d, 4 - d), (5 - d, c + 4 - d)]
+                keep, moved, text, shift = [(0, d + 1)], [(d + 2, max(c, d + 1) + 2)], field(b".", d + 1), 8
+            else:  # 0.000d1d2...: the digits move up past the prefix
+                keep, moved = [(0, 1)], [(3 - d, c + 3 - d)]
                 text, shift = field(b"0." + b"0" * -d, 1), 8 * (2 - d)
             shape.append(field(spans=keep) + field(spans=moved) + text + [shift])
     keep, moved, text, (shift,) = np.split(np.array(shape, dtype=np.uint64).T.copy(), [3, 6, 9])

@@ -70,29 +70,6 @@ def test_adversarial_values_are_spelled_like_python():
     _assert_spelled_like_python(values)
 
 
-def _surface_200_by_121():
-    table = sweep_2d(ModelParams(3, 0.5, 0.1), ThermoState(1.0), GridSpec("beta", 0.001, 30.0, 200),
-                     GridSpec("h", -3.0, 3.0, 121))
-    return table, table.coords + tuple(table.columns.values())
-
-
-def test_python_spells_no_more_values_of_a_surface_than_before(monkeypatch):
-    # The values handed to Python's own spelling (one call per distinct value
-    # of a spell call) for a 200 x 121 surface.  Before the walk-free digit
-    # search they were 1 for e16 (0.0) and 9 for shortest (0.0 and the eight
-    # powers of two +-0.25, +-0.5, +-1.0 and +-2.0 on the h line); numtext
-    # now spells all of them.  The h line's short decimals (-2.95, 0.05, ...)
-    # take the digit search, so a search that left them to Python fails here.
-    table, columns = _surface_200_by_121()
-    spell = numtext._spell
-    for name, before in (("e16", 1), ("shortest", 9)):
-        calls = []
-        monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python: spell(
-            x, shortest, lambda v: calls.append(v) or python(v)))
-        assert b"".join(numtext.rows_text(columns, getattr(numtext, name), "", ",", "\n")).count(b"\n") == len(table)
-        assert len(calls) <= before, (name, calls)
-
-
 def _reference_text(table):
     """CSV and JSON bytes of a table spelled cell by cell by Python."""
     names = [g.axis for g in table.axes] + list(table.columns)
@@ -148,23 +125,6 @@ def test_tables_are_written_as_python_spells_each_cell():
         table_to_csv(table, csv)
         table_to_json(table, text)
         assert (csv.getvalue(), text.getvalue()) == _reference_text(table), [g.axis for g in table.axes]
-
-
-def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
-    table, columns = _surface_200_by_121()
-    # the float lines: beta and h as coordinates, then beta, T, h and the constant J
-    lines = 200 + 121 + 200 + 200 + 121 + 1
-    rows = numtext.BLOCK_ROWS // 121 * 121  # whole fastest-axis lines per block
-    blocks = [rows] * (len(table) // rows) + [len(table) % rows]
-    for spell in (numtext.e16, numtext.shortest):
-        sizes = []
-
-        def spy(values, spell=spell):
-            sizes.append(values.size)
-            return spell(values)
-
-        assert b"".join(numtext.rows_text(columns, spy, "", ",", "\n")).count(b"\n") == len(table)
-        assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
 
 
 def _assert_rows_spelled_like_python(columns):
