@@ -145,7 +145,7 @@ def finite_N_free_energy(params: ModelParams, state: ThermoState, N: int) -> flo
 
 def numtext_tables():
     """numtext._tables() built entry by entry with Python integers, bytes and
-    loops: the power-of-ten table (hi by its halves) and the byte tables of
+    loops: the power-of-ten table (hi and its halves) and the byte tables of
     the field layout."""
     WIDTH, _E_MIN, _E_MAX = numtext.WIDTH, numtext._E_MIN, numtext._E_MAX
     hi, lo, t = [], [], []
@@ -158,11 +158,11 @@ def numtext_tables():
         hi.append(h)
         lo.append(float(x - int(h)))
     hi, lo, t = np.ldexp(np.array(hi), -120), np.ldexp(np.array(lo), -120), np.array(t, dtype=np.int64)
-    halves = []
-    for h in hi.tolist():  # hi as its halves of 26 bits (Veltkamp's split)
+    split = []
+    for h in hi.tolist():  # hi, then its halves of 26 bits (Veltkamp's split)
         c = 134217729.0 * h
-        halves.append((c - (c - h), h - (c - (c - h))))
-    hi = np.array(halves).T.copy()
+        split.append((h, c - (c - h), h - (c - (c - h))))
+    hi = np.array(split).T.copy()
 
     def words(texts):  # byte strings of up to 8 bytes as little-endian words
         return np.array([b.ljust(8, b"\0") for b in texts], dtype="S8").view("<u8").astype(np.uint64)

@@ -53,9 +53,9 @@ def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
     for spell in (numtext.e16, numtext.shortest):
         sizes = []
 
-        def spy(values, *work, spell=spell):
+        def spy(values, spell=spell):
             sizes.append(values.size)
-            return spell(values, *work)
+            return spell(values)
 
         assert b"".join(numtext.rows_text(columns, spy, "", ",", "\n")).count(b"\n") == len(table)
         assert sizes == [lines] + [5 * b for b in blocks]  # f, S, m, chi and C per block
@@ -72,8 +72,8 @@ def test_python_spells_no_more_values_of_a_surface_than_before(monkeypatch):
     spell = numtext._spell
     for name, before in (("e16", 1), ("shortest", 9)):
         calls = []
-        monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python, *work: spell(
-            x, shortest, lambda v: calls.append(v) or python(v), *work))
+        monkeypatch.setattr(numtext, "_spell", lambda x, shortest, python: spell(
+            x, shortest, lambda v: calls.append(v) or python(v)))
         assert b"".join(numtext.rows_text(columns, getattr(numtext, name), "", ",", "\n")).count(b"\n") == len(table)
         assert len(calls) <= before, (name, calls)
 
@@ -100,8 +100,8 @@ def test_fields_leave_out_the_bytes_no_value_fills(axes, monkeypatch):
 @pytest.mark.parametrize("axes", list(AXIS_PAIRS), ids="x".join)
 def test_writing_a_surface_allocates_block_sized_buffers(axes):
     # tracemalloc sees numpy's buffers.  Writing a 200 x 121 surface peaked at
-    # 2.4 MiB (CSV) and 2.6 MiB (JSON): the block of 1,936 rows and the
-    # spelling's work buffers.  One table-sized buffer of its five observables'
+    # 2.3 MiB in each spelling: the block of 1,936 rows and the temporaries of
+    # spelling one block.  One table-sized buffer of its five observables'
     # fields alone would be 2.8 MiB.
     table = sweep_2d(ModelParams(16, -12.0, 0.5), ThermoState(0.7), *AXIS_PAIRS[axes])
     numtext._tables()  # built once per process, and kept
