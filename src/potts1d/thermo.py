@@ -35,10 +35,6 @@ FD_STEP = 1e-5
 # q 2..64, |J| <= 12, |h| <= 3, beta log-uniform in [1e-3, 30].
 SECOND_DIFFERENCE_FACTOR = 50.0
 
-# Above this value of 2*(h + J*beta) the dominant log-eigenvalue switches to
-# its large-exponent form; both branches agree to rounding at the threshold.
-LARGE_EXPONENT_THRESHOLD = 40.0
-
 # np.finfo(float).tiny
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 
@@ -48,14 +44,15 @@ class StableCore(NamedTuple):
 
     t is 2*(h + J*beta) + ln(q-1); r is its sigmoid.  one_minus_r and
     two_r_minus_one are computed independently of r so no precision is lost
-    when r saturates at either end.  log_lambda_max is the stable log of the
-    dominant transfer-matrix eigenvalue.
+    when r saturates at either end.  log1p_e is ln(1 + e^-|t|), and
+    log_lambda_max the log of the dominant transfer-matrix eigenvalue.
     """
 
     t: float
     r: float
     one_minus_r: float
     two_r_minus_one: float
+    log1p_e: float
     log_lambda_max: float
 
 
@@ -78,25 +75,26 @@ def coupling_exponent(J, h, beta):
 
 
 def spectrum_core(q, u) -> StableCore:
-    """The stable core at bond exponent u, elementwise over arrays."""
+    """The stable core at bond exponent u, elementwise over arrays.
+
+    lambda_max = e^-u (1 + e^t), so ln lambda_max is -u + ln(1 + e^t) below
+    t = 0 and u + ln(q-1) + ln(1 + e^-t) above it: one exp(-|t|), which
+    never overflows, and one log1p, switched where the sigmoid switches.
+    """
     log_q1 = np.log(q - 1)
-    # 2u overflows only where |u| >= 2**1023, and t = +-inf is then still the
-    # right sigmoid argument.  Each log-eigenvalue branch is evaluated
-    # everywhere; exp overflows only where the other branch is taken.
-    with np.errstate(over="ignore"):
-        x = 2.0 * u
-        t = x + log_q1
-        large = u + log_q1 + np.log1p(np.exp(-x) / (q - 1))
-        small = -u + np.log1p((q - 1) * np.exp(x))
-    # Both sigmoid branches from exp(-|t|), which never overflows.
+    with np.errstate(over="ignore"):  # 2u = +-inf where |u| >= 2**1023, still the right t
+        t = 2.0 * u + log_q1
     e = np.exp(-np.abs(t))
+    log1p_e = np.log1p(e)
     upper, lower = 1.0 / (1.0 + e), e / (1.0 + e)
+    above = t >= 0.0
     return StableCore(
         t=t,
-        r=np.where(t >= 0.0, upper, lower),
-        one_minus_r=np.where(t >= 0.0, lower, upper),
+        r=np.where(above, upper, lower),
+        one_minus_r=np.where(above, lower, upper),
         two_r_minus_one=np.tanh(0.5 * t),
-        log_lambda_max=np.where(x > LARGE_EXPONENT_THRESHOLD, large, small),
+        log1p_e=log1p_e,
+        log_lambda_max=np.where(above, u + log_q1, -u) + log1p_e,
     )
 
 
@@ -125,7 +123,7 @@ def _heat_capacity(J, beta, core: StableCore, chi):
     doubles, so that C and chi agree to rounding.  Elsewhere that product is
     wrong or nan (inf * 0); C is then exp of
     ln C = 2 ln|J beta| + ln 4r(1-r),  ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|),
-    with the core's t = 2u + ln(q-1), which underflows to its correct value
+    from the core's t = 2u + ln(q-1) and ln(1 + e^-|t|), which underflows to its correct value
     (0 at J = 0) and overflows only where C itself does."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         j2, b3 = J**2, beta**3
@@ -135,9 +133,8 @@ def _heat_capacity(J, beta, core: StableCore, chi):
         direct = (np.minimum(np.minimum(j2, b3), product) >= _SMALLEST_NORMAL) & (product < np.inf)
     if direct.all():
         return C
-    t = np.abs(core.t)
     with np.errstate(divide="ignore", over="ignore"):
-        log_c = 2.0 * (np.log(np.abs(J)) + np.log(beta)) + math.log(4.0) - t - 2.0 * np.log1p(np.exp(-t))
+        log_c = 2.0 * (np.log(np.abs(J)) + np.log(beta)) + math.log(4.0) - np.abs(core.t) - 2.0 * core.log1p_e
         return np.where(direct, C, np.exp(log_c))
 
 

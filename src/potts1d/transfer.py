@@ -52,7 +52,6 @@ def partition_function(params: ModelParams, state: ThermoState, N: int) -> float
         return head + math.log1p(math.exp(z))
     if a < sys.float_info.min and (q == 2 or N == 1):
         # 1 - (1-a)^N is N*a to rounding, but a subnormal a has lost digits:
-        # take ln a = ln q + ln(1-r) from t instead.
-        t = float(core.t)
-        return head + math.log(N * q) - t - math.log1p(math.exp(-t))
+        # take ln a = ln q + ln(1-r) = ln q - t - ln(1 + e^-t) from the core instead.
+        return head + math.log(N * q) - float(core.t) - float(core.log1p_e)
     return head + _log1mexp(z)

@@ -1,8 +1,8 @@
 """Reference forms that only the tests use: a chain-by-chain energy for the
 enumeration, the value-form spectrum the dense eigendecomposition is
 compared against, the field where m vanishes, the free-energy ordering in
-q, a golden-section peak search, the finite-N free energy, and numtext's
-tables built by Python loops.  None of them is run by a command, so none of
+q, a golden-section peak search, the finite-N free energy, numtext's
+tables built by Python loops, and the four tables whose bytes are pinned.  None of them is run by a command, so none of
 them lives in the package."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from potts1d import GridSpec, ModelParams, ThermoState, numtext, oracle
+from potts1d import GridSpec, ModelParams, ThermoState, numtext, oracle, sweep_1d, sweep_2d
 from potts1d.model import check_domain, require_finite
 from potts1d.thermo import coupling_exponent, spectrum_core
 from potts1d.transfer import partition_function
@@ -199,3 +199,17 @@ def numtext_tables():
     # by the row of the exponent d - 1: the first case of its notation, less one
     notation = np.array([17 * (-3 <= d <= 16 and d + 4) - 1 for d in range(_E_MIN + 1, _E_MAX + 2)])
     return hi, lo, t, quad, suffix, keep, moved, text, shift, notation
+
+
+def pinned_tables():
+    """The three axis pairs of the benchmark's 200 x 121 surfaces and a 1-D
+    sweep, at one base point: the tables whose bytes test_cli pins and whose
+    cells crosscheck_kernel samples.  Smaller grids miss numpy's long-array
+    SIMD loops, so the sizes stay."""
+    base = ModelParams(7, -0.7, 0.3), ThermoState(1.3)
+    return {
+        "beta x h": sweep_2d(*base, GridSpec("beta", 0.001, 30.0, 200), GridSpec("h", -3.0, 3.0, 121)),
+        "T x J": sweep_2d(*base, GridSpec("T", 0.05, 20.0, 200), GridSpec("J", -12.0, 12.0, 121)),
+        "h x J": sweep_2d(*base, GridSpec("h", -3.0, 3.0, 200), GridSpec("J", -12.0, 12.0, 121)),
+        "T": sweep_1d(*base, GridSpec("T", 0.05, 20.0, 5000)),
+    }

@@ -281,11 +281,12 @@ def test_high_temperature_limits_of_all_five_functions():
 
 
 def test_low_temperature_limits_of_all_five_functions():
-    # At T -> 0 the chain orders: J > 0 takes the x > 40 branch and J < 0
-    # saturates the sigmoid.  f = -|J| - (h + ln(q-1)) T for J > 0 and
-    # -|J| + h T for J < 0, so f is first order in T; the other limits have
-    # exponentially small corrections, and the tolerance T is far above
-    # the rounding of u = h + J beta (about eps |J| / T).
+    # At T -> 0 the chain orders: t = 2u + ln(q-1) goes to +inf for J > 0
+    # and to -inf for J < 0, saturating the sigmoid either way.
+    # f = -|J| - (h + ln(q-1)) T for J > 0 and -|J| + h T for J < 0, so f
+    # is first order in T; the other limits have exponentially small
+    # corrections, and the tolerance T is far above the rounding of
+    # u = h + J beta (about eps |J| / T).
     T = 1e-6
     state = ThermoState.from_temperature(T)
     for q, J, h in LIMIT_POINTS:

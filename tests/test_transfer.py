@@ -16,7 +16,7 @@ from potts1d.oracle import (
     enumerate_partition,
     trace_power_partition,
 )
-from potts1d.thermo import LARGE_EXPONENT_THRESHOLD, coupling_exponent, spectrum_core
+from potts1d.thermo import coupling_exponent, spectrum_core
 from potts1d.transfer import partition_function
 from reference import closed_form_spectrum
 
@@ -94,19 +94,19 @@ def test_spectrum_gap_identity():
         assert spectrum.lambda_max - spectrum.lambda_minor == pytest.approx(gap, rel=1e-12)
 
 
-def test_log_branch_agreement_at_threshold():
-    # both branch formulas evaluated exactly at the switch point
-    x = LARGE_EXPONENT_THRESHOLD
-    u = x / 2.0
-    for q in (2, 3, 7, 21):
-        low = -u + math.log1p((q - 1) * math.exp(x))
-        high = u + math.log(q - 1) + math.log1p(math.exp(-x) / (q - 1))
-        assert low == pytest.approx(high, rel=1e-12)
-        # the implementation agrees with both on either side of the switch
-        eps = 1e-9
-        for uu in (u - eps, u + eps):
-            got = spectrum_core(q, coupling_exponent(0.0, uu, 1.0)).log_lambda_max
-            assert got == pytest.approx(low, rel=1e-9)
+def test_log_eigenvalue_forms_agree_on_either_side_of_the_switch():
+    # ln lambda_max = -u + ln(1 + e^t) = u + ln(q-1) + ln(1 + e^-t), with
+    # t = 2u + ln(q-1); the kernel switches from the first to the second at
+    # t = 0, where the sigmoid switches
+    for q in (2, 3, 7, 21, 2**62):
+        for t in (-1.0, -1e-9, 1e-9, 1.0):
+            u = 0.5 * (t - math.log(q - 1))
+            below = -u + math.log1p(math.exp(t))
+            above = u + math.log(q - 1) + math.log1p(math.exp(-t))
+            assert below == pytest.approx(above, rel=1e-15, abs=0.0), (q, t)
+            # the implementation agrees with both
+            got = spectrum_core(q, coupling_exponent(0.0, u, 1.0)).log_lambda_max
+            assert got == pytest.approx(below, rel=1e-15, abs=0.0), (q, t)
 
 
 def test_log_dominant_eigenvalue_never_overflows():
