@@ -35,8 +35,7 @@ FD_STEP = 1e-5
 # q 2..64, |J| <= 12, |h| <= 3, beta log-uniform in [1e-3, 30].
 SECOND_DIFFERENCE_FACTOR = 50.0
 
-# np.finfo(float).tiny
-_SMALLEST_NORMAL = 2.2250738585072014e-308
+_SMALLEST_NORMAL = 2.2250738585072014e-308  # np.finfo(float).tiny
 
 
 class StableCore(NamedTuple):
@@ -48,6 +47,7 @@ class StableCore(NamedTuple):
     log_lambda_max the log of the dominant transfer-matrix eigenvalue.
     """
 
+    log_q1: float
     t: float
     r: float
     one_minus_r: float
@@ -84,11 +84,10 @@ def spectrum_core(q, u) -> StableCore:
     log_q1 = np.log(q - 1)
     with np.errstate(over="ignore"):  # 2u = +-inf where |u| >= 2**1023, still the right t
         t = 2.0 * u + log_q1
-    e = np.exp(-np.abs(t))
-    log1p_e = np.log1p(e)
-    upper, lower = 1.0 / (1.0 + e), e / (1.0 + e)
-    above = t >= 0.0
+    e, above = np.exp(-np.abs(t)), t >= 0.0
+    log1p_e, upper, lower = np.log1p(e), 1.0 / (1.0 + e), e / (1.0 + e)
     return StableCore(
+        log_q1=log_q1,
         t=t,
         r=np.where(above, upper, lower),
         one_minus_r=np.where(above, lower, upper),
@@ -105,13 +104,16 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
     J, beta = np.asarray(J, dtype=float), np.asarray(beta, dtype=float)
     temperature(beta)  # f, m and chi scale with T; a beta without one is refused
     core = spectrum_core(q, coupling_exponent(J, h, beta))
-    at = dict(q=q, J=J, h=h, beta=beta)
+    at, jb = dict(q=q, J=J, h=h, beta=beta), J * beta
     with np.errstate(over="ignore"):
         f = -core.log_lambda_max / beta  # |ln lambda_max| > 1 can overflow at a tiny beta
+        # S = ln lambda_max - J beta (2r - 1) on the core's switch, with its two
+        # terms of size |J beta| cancelled to the input h; overflows only where not taken
+        S = np.where(core.t >= 0.0, h + core.log_q1 + jb * (2.0 * core.one_minus_r), -h - jb * (2.0 * core.r))
     chi = 4.0 * core.r * core.one_minus_r / beta
     return ThermoPoint(
         f=require_finite(f, "f = -ln(lambda_max)/beta overflows", **at),
-        S=core.log_lambda_max - J * beta * core.two_r_minus_one,
+        S=S + core.log1p_e,
         m=core.two_r_minus_one / beta,
         chi=chi,
         C=require_finite(_heat_capacity(J, beta, core, chi), "C overflows", **at),
@@ -123,8 +125,8 @@ def _heat_capacity(J, beta, core: StableCore, chi):
     doubles, so that C and chi agree to rounding.  Elsewhere that product is
     wrong or nan (inf * 0); C is then exp of
     ln C = 2 ln|J beta| + ln 4r(1-r),  ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|),
-    from the core's t = 2u + ln(q-1) and ln(1 + e^-|t|), which underflows to its correct value
-    (0 at J = 0) and overflows only where C itself does."""
+    from the core's t = 2u + ln(q-1) and ln(1 + e^-|t|), which underflows to
+    its correct value (0 at J = 0) and overflows only where C itself does."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         j2, b3 = J**2, beta**3
         product = j2 * b3

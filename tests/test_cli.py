@@ -332,14 +332,14 @@ def test_surface_matches_library_route(tmp_path):
 # itself: after tests/crosscheck_kernel.py passes on it, with its changed
 # cells listed in CHANGES.md.
 TABLE_DIGESTS = {
-    ("beta x h", "csv"): "99b5673fe11c1603cc426c0b7850978a87c6bb03301220a324689a955655d851",
-    ("beta x h", "json"): "8d9fbab8c0bf6708529e990f660758eba356629b2cb2de51b4dd69f0a6d0e904",
-    ("T x J", "csv"): "2de637905e57c98b51ec231b0b06e797ba90b3831c32a368add22a202a11df9c",
-    ("T x J", "json"): "13cdfdb4c30aa5e427266a771c5d34f927f673418ea2e3533b4de6ab37303cae",
-    ("h x J", "csv"): "65430993a2d321c668d0bcbd318c5a5646553ecd6e00fa4de9bbcfa5143f4837",
-    ("h x J", "json"): "d8de9330f643e4974b07e8eeee5e719896844e2511cee2e284c688c5256ebfd4",
-    ("T", "csv"): "fea7758089bc5b1ea1ec4ca24174d717fe81e83318d8dca8501a4cad29a275af",
-    ("T", "json"): "36731de2ebb163536c70b4eb3c6f228a57442c0e39cb1e8b5f313ba56361c9bb",
+    ("beta x h", "csv"): "7c551ccc3b06bc08496b1d77ec72402410377f71e8ec774337a0232f7cbea260",
+    ("beta x h", "json"): "ef777cef1188877174fd600f890e2a63297620375d7efdbf582be2eb8d2da031",
+    ("T x J", "csv"): "7dea60f8789d8e89ff208ae659afafe3a220e1eace18538e05b0f681e3e5534d",
+    ("T x J", "json"): "6e4eced4f29b45273218014f57d130c4833576e108cd4df9d3acca052adf9421",
+    ("h x J", "csv"): "15616b3b4cdd9374b3703cdf503ac7b6e7c9eef1798cf6082f00ba75e459b2f0",
+    ("h x J", "json"): "188967665c3ff34c02d2b5f9347272db0ef557f619a9c7475e3cc1aabbe5e9ae",
+    ("T", "csv"): "eef0aae1599977405105058316422981fb914a84235faf13b8c80d1b7e09c8d0",
+    ("T", "json"): "ffbb89db9c0b61bc9a0903dd0e9b12d9320fe87eeabc6f3bf5a487e516c4d8b9",
 }
 
 

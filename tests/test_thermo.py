@@ -20,6 +20,7 @@ from potts1d.thermo import coupling_exponent, spectrum_core, thermo_arrays
 from reference import magnetization_zero_point
 
 POINT = (ModelParams(3, 1.0, 0.5), ThermoState(0.7))
+EPS = float(np.finfo(float).eps)
 
 
 def _fd_first(fn, x, eps):
@@ -286,16 +287,28 @@ def test_low_temperature_limits_of_all_five_functions():
     # f = -|J| - (h + ln(q-1)) T for J > 0 and -|J| + h T for J < 0, so f
     # is first order in T; the other limits have exponentially small
     # corrections, and the tolerance T is far above the rounding of
-    # u = h + J beta (about eps |J| / T).
+    # u = h + J beta (about eps |J| / T).  S is exact in h, so only the
+    # rounding of h + ln(q-1) is left in it.
     T = 1e-6
     state = ThermoState.from_temperature(T)
     for q, J, h in LIMIT_POINTS:
         p = thermo_point(ModelParams(q, J, h), state)
         assert p.f == pytest.approx(-abs(J), abs=(abs(h) + math.log(q - 1) + 1.0) * T), (q, J, h)
-        assert p.S == pytest.approx(h + math.log(q - 1) if J > 0.0 else -h, abs=T), (q, J, h)
+        s_tol = 4.0 * EPS * max(abs(h), math.log(q - 1))
+        assert p.S == pytest.approx(h + math.log(q - 1) if J > 0.0 else -h, rel=0.0, abs=s_tol), (q, J, h)
         assert state.beta * p.m == pytest.approx(math.copysign(1.0, J), abs=T), (q, J, h)
         assert 0.0 <= p.chi <= T and 0.0 <= p.C <= T, (q, J, h)
     _assert_j_zero_entropy(state)
+
+
+def test_entropy_takes_its_zero_temperature_limit_exactly():
+    # The paper's T -> 0 limits, h + ln(q-1) for J > 0 and -h for J < 0.  An
+    # entropy formed as ln(lambda_max) - J beta (2r - 1) cancels two terms of
+    # size |J beta| = |J|/T, and was 17 % off at T = 1e-15 on the first point
+    for q, J, h in ((7, 5.3, -3.0), (3, 1.0, 0.1), (3, 1.0, 0.0), (17, -5.3, 0.37)):
+        for T in (1e-4, 1e-8, 1e-12, 1e-15):
+            s = entropy(ModelParams(q, J, h), ThermoState.from_temperature(T))
+            assert s == (h + math.log(q - 1) if J > 0.0 else -h), (q, J, h, T)
 
 
 def test_fd_verify_reference_point():
