@@ -3,13 +3,9 @@ three-route verification runs, and peak reports, emitted as CSV or JSON.
 
 CSV cells are '%.16e' % v (17 significant digits) with line-feed line
 endings, so every double round-trips exactly.  JSON text is what json.dumps
-gives, numbers at full precision.  Cells are spelled by numtext, whole
-arrays at a time and byte for byte as Python spells them: a column of
-stride 0 along every grid axis but one is spelled once per value along
-that axis, the others in blocks of whole lines of the grid's last axis, up
-to 2,048 rows (or 2,048-row slices of a longer line).  Rows are written as
-ASCII bytes, never decoded to str, to the file or to stdout's binary buffer,
-in pieces of 256 rows as they are made, so the whole table is never held.
+gives, numbers at full precision.  numtext spells the cells byte for byte
+as Python does; rows reach the file or stdout's binary buffer as ASCII
+bytes, piece by piece, so the whole table is never held.
 A JSON config file can mirror any flag; explicit flags override its values.
 """
 

@@ -1,13 +1,19 @@
 """Costs pinned as counts, not times: each bound sits at today's value with
 a stated margin, so a change that moves one fails here and is recorded."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from potts1d import ModelParams, ThermoState, numtext
-from potts1d.cli import table_to_csv, table_to_json
-from potts1d.oracle import MAX_ENUMERATED_CONFIGS, _bond_count_histogram
+import potts1d
+from potts1d import ModelParams, ThermoState, numtext, oracle, thermo, transfer
+from potts1d.cli import main, table_to_csv, table_to_json
+from potts1d.oracle import MAX_ENUMERATED_CONFIGS, _bond_count_histogram, enumerate_partition, trace_power_partition
 from potts1d.sweep import GridSpec, sweep_2d
 
 # The benchmark's three axis pairs of a 200 x 121 surface.
@@ -19,8 +25,10 @@ AXIS_PAIRS = {
 
 
 class _Sink:
+    size = 0
+
     def write(self, data: bytes) -> None:
-        pass
+        self.size += len(data)
 
 
 def _surface_200_by_121():
@@ -117,3 +125,98 @@ def test_writing_a_surface_allocates_block_sized_buffers(axes):
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20, (write.__name__, peak)
+
+
+MODEL = ["--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"]
+GRID = ["--axis", "h", "--min", "-1", "--max", "1", "--steps", "5"]
+# One request of each command, and the points of each spectrum_core call it
+# makes: one call over the whole grid, and for verify one for ln Z_N and one
+# over the nine points of fd_verify.
+COMMANDS = {
+    "point": (["point", *MODEL], [1]),
+    "sweep": (["sweep", *MODEL, *GRID], [5]),
+    "surface": (["surface", *MODEL, *GRID, "--axis2", "T", "--min2", "0.5", "--max2", "2", "--steps2", "4"], [20]),
+    "peaks": (["peaks", *MODEL, *GRID], [5]),
+    "verify": (["verify", *MODEL, "--n", "13"], [1, 9]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_request_evaluates_the_kernel_once_per_grid(command, tmp_path, monkeypatch, capsys):
+    argv, want = COMMANDS[command]
+    core, sizes = thermo.spectrum_core, []
+    spy = lambda q, u: sizes.append(np.size(u)) or core(q, u)  # noqa: E731
+    monkeypatch.setattr(thermo, "spectrum_core", spy)
+    monkeypatch.setattr(transfer, "spectrum_core", spy)
+    assert main(argv + (["--out", str(tmp_path / "out")] if command in ("sweep", "surface") else [])) == 0
+    assert sizes == want, sizes
+
+
+# Bytes written for each of the benchmark's axis pairs at base q = 16,
+# J = -12, h = 0.5, beta = 0.7: today's counts (beta x h, T x J, h x J; CSV
+# then JSON) and 1 % more.  CSV fields are fixed but for the sign and a third
+# exponent digit; JSON gets shorter where a value has a short repr.
+BYTES_TODAY = {("beta", "h"): (6_336_171, 4_992_274), ("T", "J"): (6_246_678, 4_819_899),
+               ("h", "J"): (6_281_485, 4_919_075)}
+
+
+@pytest.mark.parametrize("axes", list(AXIS_PAIRS), ids="x".join)
+def test_bytes_written_per_surface(axes):
+    table = sweep_2d(ModelParams(16, -12.0, 0.5), ThermoState(0.7), *AXIS_PAIRS[axes])
+    for write, today in zip((table_to_csv, table_to_json), BYTES_TODAY[axes]):
+        out = _Sink()
+        write(table, out)
+        assert out.size <= 1.01 * today, (write.__name__, out.size)
+
+
+def test_enumeration_visits_two_chains_per_prefix_of_n_minus_2_spins(monkeypatch):
+    # the first spin fixed at 0 and the second at 0 or 1: 2 q^(N-2) chains,
+    # each one byte of a block that bincount reads as uint16 pairs; exact
+    bincount, pairs = np.bincount, []
+    monkeypatch.setattr(oracle.np, "bincount", lambda x, **kw: pairs.append(x.size) or bincount(x, **kw))
+    for q, n in ((3, 13), (2, 20), (5, 9), (64, 3), (1414, 2)):
+        pairs.clear()
+        enumerate_partition(ModelParams(q, 1.0, 0.5), ThermoState(0.7), n)
+        assert 2 * sum(pairs) == 2 * q ** (n - 2), (q, n)
+
+
+class _CountedProducts(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return super().__matmul__(other)
+
+
+def test_trace_power_multiplies_n_minus_1_times(monkeypatch):
+    # one dense product per step after the first power; exact
+    to_dense = oracle.TransferMatrix.to_dense
+    monkeypatch.setattr(oracle.TransferMatrix, "to_dense", lambda self: to_dense(self).view(_CountedProducts))
+    for n in (2, 6, 13):
+        _CountedProducts.products = 0
+        trace_power_partition(ModelParams(3, 1.0, 0.5), ThermoState(0.7), n)
+        assert _CountedProducts.products == n - 1, n
+
+
+# The potts1d modules a process of each command has loaded when it is done:
+# at most these (every command loads oracle through the package and cli;
+# only the table writers load numtext).  A change that imports less narrows
+# a set; one that imports more fails here.
+ALL_BUT_NUMTEXT = {"potts1d", "potts1d.cli", "potts1d.model", "potts1d.oracle", "potts1d.sweep",
+                   "potts1d.thermo", "potts1d.transfer"}
+IMPORTED = {command: ALL_BUT_NUMTEXT | ({"potts1d.numtext"} if command in ("sweep", "surface") else set())
+            for command in COMMANDS}
+
+
+def test_modules_each_command_imports(tmp_path):
+    code = ("import sys\nfrom potts1d.cli import main\nstatus = main(sys.argv[1:])\n"
+            "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'potts1d'))")
+    src = str(Path(potts1d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for command, (argv, _) in COMMANDS.items():
+        out = ["--out", str(tmp_path / "out")] if command in ("sweep", "surface") else []
+        child = subprocess.run([sys.executable, "-c", code, *argv, *out], env=env, capture_output=True, text=True,
+                               timeout=60)
+        status, *modules = child.stdout.splitlines()[-1].split()
+        assert status == "0", child.stderr
+        assert set(modules) <= IMPORTED[command], (command, sorted(set(modules) - IMPORTED[command]))
