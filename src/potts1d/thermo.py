@@ -84,17 +84,14 @@ def spectrum_core(q, u) -> StableCore:
     log_q1 = np.log(q - 1)
     with np.errstate(over="ignore"):  # 2u = +-inf where |u| >= 2**1023, still the right t
         t = 2.0 * u + log_q1
-    e, above = np.exp(-np.abs(t)), t >= 0.0
-    log1p_e, upper, lower = np.log1p(e), 1.0 / (1.0 + e), e / (1.0 + e)
-    return StableCore(
-        log_q1=log_q1,
-        t=t,
-        r=np.where(above, upper, lower),
-        one_minus_r=np.where(above, lower, upper),
-        two_r_minus_one=np.tanh(0.5 * t),
-        log1p_e=log1p_e,
-        log_lambda_max=np.where(above, u + log_q1, -u) + log1p_e,
-    )
+    above, e = t >= 0.0, np.exp(-np.abs(t))
+    log1p_e = np.log1p(e)
+    log_lambda_max = np.where(above, u + log_q1, -u) + log1p_e
+    two_r_minus_one = np.tanh(0.5 * t)
+    upper, lower = 1.0 / (1.0 + e), e / (1.0 + e)
+    del e  # one grid-sized array fewer while r and 1 - r are made
+    return StableCore(log_q1, t, np.where(above, upper, lower), np.where(above, lower, upper), two_r_minus_one,
+                      log1p_e, log_lambda_max)
 
 
 def thermo_arrays(q, J, h, beta) -> ThermoPoint:
@@ -106,14 +103,18 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
     core = spectrum_core(q, coupling_exponent(J, h, beta))
     at, jb = dict(q=q, J=J, h=h, beta=beta), J * beta
     with np.errstate(over="ignore"):
-        f = -core.log_lambda_max / beta  # |ln lambda_max| > 1 can overflow at a tiny beta
-        # S = ln lambda_max - J beta (2r - 1) on the core's switch, with its two
-        # terms of size |J beta| cancelled to the input h; overflows only where not taken
-        S = np.where(core.t >= 0.0, h + core.log_q1 + jb * (2.0 * core.one_minus_r), -h - jb * (2.0 * core.r))
+        f = core.log_lambda_max / -beta  # |ln lambda_max| > 1 can overflow at a tiny beta
+    # S = ln lambda_max - J beta (2r - 1) with its two terms of size |J beta|
+    # cancelled to the input h, on the core's switch: 2 J beta (1-r) + h +
+    # ln(q-1) where t >= 0 and -2 J beta r - h below, plus ln(1 + e^-|t|)
+    above = core.t >= 0.0
+    S = jb * (2.0 * np.where(above, core.one_minus_r, -core.r))
+    S += np.where(above, h + core.log_q1, -h)
+    S += core.log1p_e
     chi = 4.0 * core.r * core.one_minus_r / beta
     return ThermoPoint(
         f=require_finite(f, "f = -ln(lambda_max)/beta overflows", **at),
-        S=S + core.log1p_e,
+        S=S,
         m=core.two_r_minus_one / beta,
         chi=chi,
         C=require_finite(_heat_capacity(J, beta, core, chi), "C overflows", **at),
