@@ -41,10 +41,11 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308  # np.finfo(float).tiny
 class StableCore(NamedTuple):
     """The recurring ratio shared by all thermodynamic closed forms.
 
-    t is 2*(h + J*beta) + ln(q-1); r is its sigmoid.  one_minus_r and
-    two_r_minus_one are computed independently of r so no precision is lost
-    when r saturates at either end.  log1p_e is ln(1 + e^-|t|), and
-    log_lambda_max the log of the dominant transfer-matrix eigenvalue.
+    t is 2*(h + J*beta) + log_q1, with log_q1 = ln(q-1); r is its sigmoid.
+    one_minus_r and two_r_minus_one are computed independently of r so no
+    precision is lost when r saturates at either end.  log1p_e is
+    ln(1 + e^-|t|), and log_lambda_max the log of the dominant
+    transfer-matrix eigenvalue.
     """
 
     log_q1: float
@@ -75,12 +76,10 @@ def coupling_exponent(J, h, beta):
 
 
 def spectrum_core(q, u) -> StableCore:
-    """The stable core at bond exponent u, elementwise over arrays.
-
-    lambda_max = e^-u (1 + e^t), so ln lambda_max is -u + ln(1 + e^t) below
-    t = 0 and u + ln(q-1) + ln(1 + e^-t) above it: one exp(-|t|), which
-    never overflows, and one log1p, switched where the sigmoid switches.
-    """
+    """The stable core at bond exponent u, elementwise over arrays.  With
+    lambda_max = e^-u (1 + e^t), ln lambda_max is -u + ln(1 + e^t) below
+    t = 0 and u + ln(q-1) + ln(1 + e^-t) above it: one exp(-|t|), which never
+    overflows, and one log1p, switched where the sigmoid switches."""
     log_q1 = np.log(q - 1)
     with np.errstate(over="ignore"):  # 2u = +-inf where |u| >= 2**1023, still the right t
         t = 2.0 * u + log_q1

@@ -2,8 +2,8 @@
 enumeration, the value-form spectrum the dense eigendecomposition is
 compared against, the field where m vanishes, the free-energy ordering in
 q, a golden-section peak search, the finite-N free energy, numtext's
-tables built by Python loops, and the four tables whose bytes are pinned.  None of them is run by a command, so none of
-them lives in the package."""
+tables built by Python loops, and the four tables whose bytes are pinned.
+None of them is run by a command, so none of them lives in the package."""
 
 from __future__ import annotations
 

@@ -101,10 +101,15 @@ def test_entropy_reference_point():
 
 
 def test_entropy_low_temperature_plateau():
-    # ferromagnetic low-T entropy approaches h + ln(q-1), here negative
-    s = entropy(ModelParams(7, 5.3, -3.0), ThermoState(1.0 / 1e-3))
-    assert s == pytest.approx(-3.0 + math.log(6.0), abs=1e-9)
-    assert s < 0.0
+    # The paper's T -> 0 limits, h + ln(q-1) for J > 0 (negative for the
+    # first point) and -h for J < 0, reached exactly.  An entropy formed as
+    # ln(lambda_max) - J beta (2r - 1) cancels two terms of size |J|/T, and
+    # was 17 % off at T = 1e-15 on the first point.
+    for q, J, h in ((7, 5.3, -3.0), (3, 1.0, 0.1), (3, 1.0, 0.0), (17, -5.3, 0.37)):
+        for T in (1e-3, 1e-4, 1e-8, 1e-12, 1e-15):
+            s = entropy(ModelParams(q, J, h), ThermoState.from_temperature(T))
+            assert s == (h + math.log(q - 1) if J > 0.0 else -h), (q, J, h, T)
+    assert entropy(ModelParams(7, 5.3, -3.0), ThermoState(1.0 / 1e-3)) < 0.0
 
 
 def test_magnetization_symmetric_zero():
@@ -299,16 +304,6 @@ def test_low_temperature_limits_of_all_five_functions():
         assert state.beta * p.m == pytest.approx(math.copysign(1.0, J), abs=T), (q, J, h)
         assert 0.0 <= p.chi <= T and 0.0 <= p.C <= T, (q, J, h)
     _assert_j_zero_entropy(state)
-
-
-def test_entropy_takes_its_zero_temperature_limit_exactly():
-    # The paper's T -> 0 limits, h + ln(q-1) for J > 0 and -h for J < 0.  An
-    # entropy formed as ln(lambda_max) - J beta (2r - 1) cancels two terms of
-    # size |J beta| = |J|/T, and was 17 % off at T = 1e-15 on the first point
-    for q, J, h in ((7, 5.3, -3.0), (3, 1.0, 0.1), (3, 1.0, 0.0), (17, -5.3, 0.37)):
-        for T in (1e-4, 1e-8, 1e-12, 1e-15):
-            s = entropy(ModelParams(q, J, h), ThermoState.from_temperature(T))
-            assert s == (h + math.log(q - 1) if J > 0.0 else -h), (q, J, h, T)
 
 
 def test_fd_verify_reference_point():

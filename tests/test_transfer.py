@@ -94,7 +94,7 @@ def test_spectrum_gap_identity():
         assert spectrum.lambda_max - spectrum.lambda_minor == pytest.approx(gap, rel=1e-12)
 
 
-def test_log_eigenvalue_forms_agree_on_either_side_of_the_switch():
+def test_log_branch_agreement_at_threshold():
     # ln lambda_max = -u + ln(1 + e^t) = u + ln(q-1) + ln(1 + e^-t), with
     # t = 2u + ln(q-1); the kernel switches from the first to the second at
     # t = 0, where the sigmoid switches
