@@ -70,8 +70,7 @@ def table_to_json(table: SweepTable, out: BinaryIO) -> None:
     The metadata's base value of a swept parameter is null: the grid, not
     the base, gives its values."""
     base = dict(asdict(table.base_params), beta=None if table.base_state is None else table.base_state.beta)
-    for g in table.axes:
-        base["beta" if g.axis == "T" else g.axis] = None
+    base.update((g.parameter, None) for g in table.axes)
     meta = {
         "base": base,
         "grids": [asdict(g) for g in table.axes],
@@ -324,6 +323,3 @@ def main(argv=None) -> int:
             print(f"cannot write standard output: {err.strerror}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -54,6 +54,17 @@ class GridSpec:
         # linspace keeps both endpoints exact.
         return np.linspace(self.min, self.max, self.steps)
 
+    @property
+    def parameter(self) -> str:
+        """The model parameter the grid sets: beta on a T axis, else its axis."""
+        return "beta" if self.axis == "T" else self.axis
+
+    def values(self, points):
+        """The parameter at the points: beta = 1/T on a T axis, int64 on a q axis."""
+        if self.axis == "T":
+            return 1.0 / points
+        return np.rint(points).astype(np.int64) if self.axis == "q" else points
+
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
@@ -74,16 +85,11 @@ class SweepTable:
         return self.coords[0].size
 
 
-def _axis_values(grid: GridSpec) -> np.ndarray:
-    """The column an axis sets: beta for T, int64 for q, else its points."""
-    points = grid.points()
-    if grid.axis == "T":
-        return 1.0 / points
-    return np.rint(points).astype(np.int64) if grid.axis == "q" else points
-
-
 def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> SweepTable:
-    if base_state is None and not any(g.axis in ("beta", "T") for g in grids):
+    parameters = [g.parameter for g in grids]
+    if len(set(parameters)) < len(grids):
+        raise ValueError(f"axes {' and '.join(g.axis for g in grids)} both set {parameters[-1]}: the grids must set distinct parameters")
+    if base_state is None and "beta" not in parameters:
         raise ValueError("a base ThermoState is required unless beta or T is swept")
     shape = tuple(g.steps for g in grids)
     n = math.prod(shape)
@@ -91,13 +97,13 @@ def _sweep(base_params: ModelParams, base_state: ThermoState | None, grids) -> S
         raise ValueError(f"the grid has {n} points, more than the grid-point cap of {MAX_GRID_POINTS}")
 
     # A base value is 0-d and an axis a sparse line: what does not vary is computed once.
+    lines = np.meshgrid(*(g.points() for g in grids), indexing="ij", sparse=True)
     base = dict(asdict(base_params), beta=base_state and base_state.beta)
-    for g, line in zip(grids, np.meshgrid(*map(_axis_values, grids), indexing="ij", sparse=True)):  # later axes override earlier ones
-        base["beta" if g.axis == "T" else g.axis] = line
+    base.update((g.parameter, g.values(line)) for g, line in zip(grids, lines))
     beta, h, J, q = (np.asarray(base[name]) for name in ("beta", "h", "J", "q"))
     columns = dict(beta=beta, T=temperature(beta), h=h, J=J, q=q, **thermo_arrays(q, J, h, beta)._asdict())
     columns = {name: np.broadcast_to(c, shape) for name, c in columns.items()}
-    coords = tuple(np.broadcast_to(c, shape) for c in np.meshgrid(*(g.points() for g in grids), indexing="ij", sparse=True))
+    coords = tuple(np.broadcast_to(c, shape) for c in lines)
     return SweepTable(tuple(grids), coords, columns, base_params, base_state)
 
 
@@ -113,8 +119,6 @@ def sweep_2d(
     grid_y: GridSpec,
 ) -> SweepTable:
     """Evaluate a 2D grid in row-major order, the x coordinate varying slowest."""
-    if grid_x.axis == grid_y.axis:
-        raise ValueError("the two grids must use distinct axes")
     return _sweep(base_params, base_state, (grid_x, grid_y))
 
 

@@ -207,6 +207,19 @@ def test_sweep_json_and_csv_round_trip_identically(tmp_path):
             assert float(cell) == float(value)
 
 
+def test_surface_refuses_two_axes_that_set_one_parameter(capsys):
+    # --axis T with --axis2 beta once exited 0, its rows at the beta of the beta axis
+    grids = {"T": ("1", "2"), "beta": ("1", "3"), "h": ("-1", "1")}
+    for x, y, parameter, model in (("T", "beta", "beta", ["--h", "0"]), ("beta", "T", "beta", ["--h", "0"]),
+                                   ("h", "h", "h", ["--beta", "0.7"])):
+        argv = ["surface", "--q", "3", "--J", "1", *model, "--axis", x, "--min", grids[x][0], "--max", grids[x][1],
+                "--steps", "2", "--axis2", y, "--min2", grids[y][0], "--max2", grids[y][1], "--steps2", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"axes {x} and {y} both set {parameter}: the grids must set distinct parameters\n")
+
+
 def test_surface_command_row_major(tmp_path):
     out = tmp_path / "surface.csv"
     rc = main(

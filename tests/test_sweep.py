@@ -251,6 +251,16 @@ def test_sweep_2d_rejects_duplicate_axis():
         )
 
 
+def test_sweep_2d_refuses_two_axes_that_set_beta():
+    # T sets beta = 1/T, so a (T, beta) surface once ran with every row at the
+    # beta of its beta axis, its T column disagreeing with its T coordinate
+    t, beta = GridSpec("T", 1.0, 2.0, 2), GridSpec("beta", 1.0, 3.0, 2)
+    for x, y in ((t, beta), (beta, t)):
+        for state in (None, ThermoState(1.0)):
+            with pytest.raises(ValueError, match=rf"^axes {x.axis} and {y.axis} both set beta: the grids must set"):
+                sweep_2d(ModelParams(3, 1.0, 0.0), state, x, y)
+
+
 def test_sweep_2d_antiferromagnetic_surface_is_finite():
     # the steep corner of this surface lives far beyond exp overflow
     table = sweep_2d(

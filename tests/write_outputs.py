@@ -16,7 +16,9 @@ file per request, so two checkouts can be compared with `diff -r`:
 - `cli-<case>.txt`: the stdout, stderr and exit status of command lines that
   leave out one flag of a command in turn (`cli-missing-<command>-<flag>`)
   or all of them, give `--beta` with `--T`, give a bad config file or
-  value, or give a value outside its domain.  These run in DIR, so that
+  value, give a value outside its domain, or give a surface two axes that
+  set one parameter (`cli-same-axes`, `cli-T-and-beta-axes`,
+  `cli-beta-and-T-axes`).  These run in DIR, so that
   config paths, and any file a faulty run writes, stay inside it.
 
 The package comes from PYTHONPATH, so the same tool writes the outputs of
@@ -92,6 +94,9 @@ CASES = {
     "min-above-max": ("sweep", {"min": "2"}, None),
     "axis-x": ("sweep", {"axis": "x"}, None),
     "same-axes": ("surface", {"axis2": "h"}, None),
+    "T-and-beta-axes": ("surface", {"axis": "T", "min": "1", "max": "2", "axis2": "beta", "min2": "1", "max2": "3"},
+                        None),
+    "beta-and-T-axes": ("surface", {"axis": "beta", "min": "1", "max": "3"}, None),
     "format-xml": ("sweep", {"format": "xml"}, None),
     "observable-x": ("peaks", {"observable": "x"}, None),
     "n-1": ("verify", {"n": "1"}, None),
