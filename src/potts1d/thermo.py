@@ -110,7 +110,12 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
     S = jb * (2.0 * np.where(above, core.one_minus_r, -core.r))
     S += np.where(above, h + core.log_q1, -h)
     S += core.log1p_e
-    chi = 4.0 * core.r * core.one_minus_r / beta
+    chi = 4.0 * core.r * core.one_minus_r
+    tail = chi < _SMALLEST_NORMAL  # 4r(1-r) below the normal range has lost bits: chi from its logarithm
+    chi /= beta
+    if tail.any():
+        with np.errstate(over="ignore"):  # exp of ln 4r(1-r) - ln beta, which overflows only where 4r(1-r) is normal
+            chi = np.where(tail, np.exp(math.log(4.0) - np.abs(core.t) - 2.0 * core.log1p_e - np.log(beta)), chi)
     return ThermoPoint(
         f=require_finite(f, "f = -ln(lambda_max)/beta overflows", **at),
         S=S,

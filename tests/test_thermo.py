@@ -424,10 +424,6 @@ def test_heat_capacity_off_the_product_path_against_mpmath():
     assert thermo_point(ModelParams(3, 0.0, 0.5), ThermoState(1e200)).C == 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known defect: chi = 0 where 4r(1-r) underflows before the division by a small beta, though the "
-    "true chi is a representable subnormal (ROADMAP item 3).  The fix must keep acceptance criterion 7, "
-    "which asserts C = J^2 beta^3 chi at a subnormal chi (point --q 3 --J 12 --h 3 --beta 30)"))
 def test_susceptibility_keeps_a_subnormal_value():
     # 60-digit mpmath at the rounded u: chi = 4.8645e-322, which rounds to 98 subnormal ulps
     chi = thermo_arrays(63, -0.021633182822038483, -377.2451221538436, 1.0875887947509836e-4).chi
