@@ -127,6 +127,27 @@ def test_writing_a_surface_allocates_block_sized_buffers(axes):
         assert peak < 3 * 2**20, (write.__name__, peak)
 
 
+# The tracemalloc peak of sweep_2d on each benchmark axis pair at base
+# q = 16, J = -12, h = 0.5, beta = 0.7, after one warm-up call, in MiB:
+# today's values and 5 % more.  A float column of the 24,200 points is
+# 0.18 MiB.  On beta x h, 310 points take chi's log form, and evaluating it
+# over the grid costs 0.14 MiB there (2.13 MiB without it).
+SWEEP_PEAK_MIB = {("beta", "h"): 2.27, ("T", "J"): 3.04, ("h", "J"): 2.65}
+
+
+@pytest.mark.parametrize("axes", list(AXIS_PAIRS), ids="x".join)
+def test_sweep_peak_memory(axes):
+    base = ModelParams(16, -12.0, 0.5), ThermoState(0.7)
+    sweep_2d(*base, *AXIS_PAIRS[axes])
+    tracemalloc.start()
+    try:
+        sweep_2d(*base, *AXIS_PAIRS[axes])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * SWEEP_PEAK_MIB[axes] * 2**20, peak / 2**20
+
+
 MODEL = ["--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"]
 GRID = ["--axis", "h", "--min", "-1", "--max", "1", "--steps", "5"]
 TABLE_OUT = ["--out", os.devnull]
