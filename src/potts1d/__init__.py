@@ -2,7 +2,7 @@
 and field terms both couple to nearest-neighbour spin agreement.
 
 The package exports the user-facing API; the rest is imported from its
-module (model, transfer, thermo, sweep, oracle, cli)."""
+module (model, transfer, thermo, sweep, oracle, numtext, cli)."""
 
 from .model import ModelParams, ThermoState
 from .oracle import three_route_report

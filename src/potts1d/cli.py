@@ -12,7 +12,10 @@ A JSON config file can mirror any flag; explicit flags override its values.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import gc
 import json
 import math
 import os
@@ -82,6 +85,18 @@ def table_to_json(table: SweepTable, out: BinaryIO) -> None:
     for text in pieces:
         out.write(text)
     out.write(b"]}")
+
+
+class _ClosedStdout:
+    """sys.stdout while a command runs in a process started with its stdout
+    closed (`>&-`), where Python sets it to None: a write fails as a write to
+    the closed descriptor would, and there is nothing to flush."""
+
+    def write(self, text: str) -> None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
 
 
 class _Stdout:
@@ -302,9 +317,10 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_run_config(argv)
-        status = run(config)
-        sys.stdout.flush()  # a failed write shows here, not at interpreter exit
+        with contextlib.redirect_stdout(_ClosedStdout() if sys.stdout is None else sys.stdout):
+            config = parse_run_config(argv)
+            status = run(config)
+            sys.stdout.flush()  # a failed write shows here, not at interpreter exit
         return status
     except SystemExit as err:
         # argparse uses exit status 2 for usage errors
@@ -313,13 +329,26 @@ def main(argv=None) -> int:
         print(str(err), file=sys.stderr)
         return 1
     except OSError as err:
-        # Only stdout is written unguarded: its reader has gone or its device
-        # is full.  Point it at devnull, so that the interpreter's last flush
-        # of what is still buffered cannot fail as well.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # Only stdout is written unguarded: its reader has gone, its device
+        # is full or it is closed.  Point an open one at devnull, so that the
+        # interpreter's last flush of what is still buffered cannot fail as well.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if not isinstance(err, BrokenPipeError):
             print(f"cannot write standard output: {err.strerror}", file=sys.stderr)
         return 1
 
+
+def entry() -> int:
+    """The process entry of `python -m potts1d` and of the `potts1d` script:
+    main() on sys.argv, whose status the caller hands to sys.exit."""
+    status = main()
+    # Only atexit handlers, the final flush of stdio and the interpreter's
+    # shutdown run after this.  Shutdown's full collections would traverse
+    # the ~22,000 objects that numpy, the stdlib and potts1d leave tracked,
+    # about 20 ms of a cold process; frozen, they are skipped.  main(argv)
+    # never freezes, as tests and loops call it many times in one process.
+    gc.freeze()
+    return status

@@ -1,11 +1,13 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -478,6 +480,58 @@ def test_full_stdout_device_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == "cannot write standard output: No space left on device\n"
     proc.stderr.close()
+
+
+def _closed_stdout_process(argv):
+    # `>&-` starts the child with descriptor 1 closed, so its sys.stdout is None
+    return subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "potts1d", *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"],
+    ["--help"],
+    ["surface", "--q", "3", "--J", "1", "--axis", "beta", "--min", "0.5", "--max", "2", "--steps", "3",
+     "--axis2", "h", "--min2", "-1", "--max2", "1", "--steps2", "2"],
+], ids=["point", "help", "surface"])
+def test_closed_stdout_exits_without_traceback(argv):
+    # a None sys.stdout once gave an AttributeError traceback
+    child = _closed_stdout_process(argv)
+    assert (child.returncode, child.stderr) == (1, "cannot write standard output: Bad file descriptor\n")
+
+
+def test_closed_stdout_does_not_fail_a_command_that_writes_only_to_out(tmp_path):
+    # the file opened for --out takes descriptor 1 in that child
+    argv = ["sweep", "--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7", "--axis", "h", "--min", "-1",
+            "--max", "1", "--steps", "5", "--out"]
+    child = _closed_stdout_process([*argv, str(tmp_path / "closed.csv")])
+    assert (child.returncode, child.stderr) == (0, "")
+    assert main([*argv, str(tmp_path / "open.csv")]) == 0
+    assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+
+def test_console_script_runs_the_entry_of_python_m(monkeypatch):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^potts1d = "([\w.]+):(\w+)"$', pyproject, flags=re.M).groups()
+    # `python -m potts1d` runs the callable [project.scripts] names ...
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: 7)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("potts1d", run_name="__main__")
+    assert exit_.value.code == 7
+    # ... and the script pip generates, which hands that callable's result to
+    # sys.exit, gives what `python -m potts1d` gives, and leaves the objects
+    # frozen for shutdown (a script that named cli.main would not)
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              f"from {module} import {name}\nsys.exit({name}())\n")
+    model = ["--J", "1", "--h", "0.5", "--beta", "0.7"]
+    for argv, status in ((["point", "--q", "3", *model], 0), (["point", "--q", "1", *model], 1),
+                         (["point", "--q", "3"], 2)):
+        script_run, module_run = (subprocess.run([*head, *argv], env=_child_env(), capture_output=True, timeout=60)
+                                  for head in ([sys.executable, "-c", script], [sys.executable, "-m", "potts1d"]))
+        assert module_run.returncode == status and (module_run.stdout if status == 0 else module_run.stderr), argv
+        assert (script_run.returncode, script_run.stdout, script_run.stderr) == (
+            status, module_run.stdout, module_run.stderr + b"frozen True\n"), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
