@@ -110,39 +110,38 @@ def thermo_arrays(q, J, h, beta) -> ThermoPoint:
     S = jb * (2.0 * np.where(above, core.one_minus_r, -core.r))
     S += np.where(above, h + core.log_q1, -h)
     S += core.log1p_e
+    # The tails, one rule each.  chi = 4r(1-r)/beta, but where 4r(1-r) is below
+    # the normal range it has lost bits, so chi is exp(ln 4r(1-r) - ln beta).
+    # C = J^2 beta^3 chi, so that C and chi agree to rounding, wherever that
+    # product is finite and either J = 0, or J^2, beta^3 and J^2 beta^3 are
+    # normal and chi > 0.  Elsewhere the product is wrong (0 where chi underflowed,
+    # nan = inf * 0) and C is exp(ln 4r(1-r) + 2 ln|J beta|), which underflows to
+    # its right value (0 at J = 0) and overflows only where C itself does.
     chi = 4.0 * core.r * core.one_minus_r
-    tail = chi < _SMALLEST_NORMAL  # 4r(1-r) below the normal range has lost bits: chi from its logarithm
+    chi_tail = chi < _SMALLEST_NORMAL
     chi /= beta
-    if tail.any():
-        with np.errstate(over="ignore"):  # exp of ln 4r(1-r) - ln beta, which overflows only where 4r(1-r) is normal
-            chi = np.where(tail, np.exp(math.log(4.0) - np.abs(core.t) - 2.0 * core.log1p_e - np.log(beta)), chi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if chi_tail.any():
+            chi = np.where(chi_tail, np.exp(_log_4r_1mr(core) - np.log(beta)), chi)
+        j2, b3 = J**2, beta**3
+        product = j2 * b3
+        C = product * chi
+        normal = (np.minimum(np.minimum(j2, b3), product) >= _SMALLEST_NORMAL) & (chi > 0.0)
+        c_tail = ~((C < np.inf) & ((J == 0.0) | normal))
+        if c_tail.any():
+            C = np.where(c_tail, np.exp(_log_4r_1mr(core) + 2.0 * (np.log(np.abs(J)) + np.log(beta))), C)
     return ThermoPoint(
         f=require_finite(f, "f = -ln(lambda_max)/beta overflows", **at),
         S=S,
         m=core.two_r_minus_one / beta,
         chi=chi,
-        C=require_finite(_heat_capacity(J, beta, core, chi), "C overflows", **at),
+        C=require_finite(C, "C overflows", **at),
     )
 
 
-def _heat_capacity(J, beta, core: StableCore, chi):
-    """C = J^2 beta^3 chi wherever J^2, beta^3 and their product are normal
-    doubles, so that C and chi agree to rounding.  Elsewhere that product is
-    wrong or nan (inf * 0); C is then exp of
-    ln C = 2 ln|J beta| + ln 4r(1-r),  ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|),
-    from the core's t = 2u + ln(q-1) and ln(1 + e^-|t|), which underflows to
-    its correct value (0 at J = 0) and overflows only where C itself does."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        j2, b3 = J**2, beta**3
-        product = j2 * b3
-        C = product * chi
-        # normal: at least the smallest normal double, and below inf (not nan)
-        direct = (np.minimum(np.minimum(j2, b3), product) >= _SMALLEST_NORMAL) & (product < np.inf)
-    if direct.all():
-        return C
-    with np.errstate(divide="ignore", over="ignore"):
-        log_c = 2.0 * (np.log(np.abs(J)) + np.log(beta)) + math.log(4.0) - np.abs(core.t) - 2.0 * core.log1p_e
-        return np.where(direct, C, np.exp(log_c))
+def _log_4r_1mr(core: StableCore):
+    """ln 4r(1-r) = ln 4 - |t| - 2 ln(1 + e^-|t|), right where 4r(1-r) underflows."""
+    return math.log(4.0) - np.abs(core.t) - 2.0 * core.log1p_e
 
 
 def thermo_point(params: ModelParams, state: ThermoState) -> ThermoPoint:
@@ -177,9 +176,9 @@ def susceptibility(params: ModelParams, state: ThermoState) -> float:
 def heat_capacity(params: ModelParams, state: ThermoState) -> float:
     """Heat capacity per site, J^2 beta^2 * 4 r (1-r); zero exactly when J = 0.
 
-    Computed as J^2 beta^3 times the susceptibility so the two functions
-    stay consistent to rounding even where r(1-r) is subnormal; where J^2 or
-    beta^3 leaves the normal range, from its logarithm (see _heat_capacity).
+    Computed as J^2 beta^3 times the susceptibility, so that the two agree to
+    rounding, wherever that product is finite and either J = 0, or J^2, beta^3
+    and J^2 beta^3 are normal and chi > 0; elsewhere from its logarithm.
     """
     return thermo_point(params, state).C
 

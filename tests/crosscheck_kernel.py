@@ -1,4 +1,4 @@
-"""Cross-check of the kernel's f and S against 80-digit mpmath at the inputs
+"""Cross-check of the kernel's f, S and m against 80-digit mpmath at the inputs
 as given.
 
     PYTHONPATH=src python tests/crosscheck_kernel.py [--seed N] [--cells N] [--draws N]
@@ -13,12 +13,12 @@ at the rounded u fails here.
 
 f must lie within F_EPS eps of the reference, relative to |f|, and S within
 S_EPS eps of max(|S|, |h|, ln(q-1)): near S = 0 the rounding of
-h + ln(q-1) sets that scale, and no formula avoids it.  The errors of m (in
-eps of 1/beta, its largest value), chi and C (relative, where the reference
-is a normal double; and the cells below that off by more than one subnormal
-ulp) are printed, not gated.  Prints the maxima, and the worst points of a
-bound that is exceeded, and exits 1 then.  Its name keeps it out of the
-pytest run; it takes a few seconds.
+h + ln(q-1) sets that scale, and no formula avoids it.  m must lie within
+M_EPS eps of 1/beta, its largest value.  The errors of chi and C (relative,
+where the reference is a normal double; and the cells below that off by more
+than one subnormal ulp) are printed, not gated.  Prints the maxima, and the
+worst points of a bound that is exceeded, and exits 1 then.  Its name keeps
+it out of the pytest run; it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from reference import pinned_tables
 
 F_EPS = 4.0
 S_EPS = 4.0
+M_EPS = 4.0
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 SUBNORMAL_ULP = 5e-324
@@ -98,16 +99,16 @@ def main(argv=None) -> int:
         ref = np.array([reference(*p) for p in zip(q.tolist(), J.tolist(), h.tolist(), beta.tolist())]).T
         err = errors(q, J, h, beta, values, ref)
         below = {k: int(np.count_nonzero(err[k + " below normal"] > 1.0)) for k in ("chi", "C")}
-        print(f"{name}: {q.size} points, worst f {err['f'].max():.3g} eps, S {err['S'].max():.3g} eps; "
-              f"ungated: m {err['m'].max():.3g} eps of 1/beta, chi {err['chi'].max():.3g} eps, "
+        print(f"{name}: {q.size} points, worst f {err['f'].max():.3g} eps, S {err['S'].max():.3g} eps, "
+              f"m {err['m'].max():.3g} eps of 1/beta; ungated: chi {err['chi'].max():.3g} eps, "
               f"C {err['C'].max():.3g} eps, cells below normal off by more than 1 ulp: "
               f"chi {below['chi']}, C {below['C']}")
-        for quantity, bound in (("f", F_EPS), ("S", S_EPS)):
+        for quantity, bound in (("f", F_EPS), ("S", S_EPS), ("m", M_EPS)):
             bad = np.flatnonzero(err[quantity] > bound)
             if bad.size:
                 failed = True
                 print(f"  {quantity} exceeds {bound} eps at {bad.size} points; the worst:")
-                k = "fS".index(quantity)
+                k = "fSm".index(quantity)
                 for i in bad[np.argsort(err[quantity][bad])[::-1][:WORST]]:
                     print(f"    q={int(q[i])} J={float(J[i])!r} h={float(h[i])!r} beta={float(beta[i])!r}: "
                           f"{quantity} = {float(values[k][i])!r}, reference {float(ref[k][i])!r}, {err[quantity][i]:.3g} eps")

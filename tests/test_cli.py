@@ -552,6 +552,23 @@ def test_help_is_written_with_status_0(capsys):
         assert out.startswith("usage: potts1d") and "--help" in out
 
 
+def test_short_flags_take_the_option_path(capsys):
+    # '-h' and '-x' are the dash arguments that are not numbers, which
+    # _Parser._parse_optional hands on to argparse as options
+    for command in ([], ["point"], ["sweep"], ["surface"], ["verify"], ["peaks"]):
+        texts = []
+        for flag in ("-h", "--help"):
+            assert main([*command, flag]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: potts1d"), command
+    for argv, error in ((["-x"], "the following arguments are required: command"),
+                        (["point", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "-x"],
+                         "unrecognized arguments: -x")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: potts1d") and err.endswith(f"error: {error}\n"), err
+
+
 def test_verify_is_deterministic(capsys):
     args = ["verify", "--q", "4", "--J", "-2", "--h", "1", "--beta", "0.9", "--n", "5"]
     assert main(args) == 0

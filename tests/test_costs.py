@@ -149,6 +149,19 @@ def test_sweep_peak_memory(axes):
     assert peak <= 1.05 * SWEEP_PEAK_MIB[axes] * 2**20, peak / 2**20
 
 
+# Grid-sized np.exp calls of sweep_2d on each benchmark axis pair at base
+# q = 7, J = -0.7, h = 0.3, beta = 1.3: the core's e^-|t| alone, as no point
+# there needs a tail.  J = 0, a line of T x J and h x J, keeps C's product
+# form although J^2 = 0 is not normal, so C's log form, a second exp over the
+# grid, is not evaluated.
+@pytest.mark.parametrize("axes", list(AXIS_PAIRS), ids="x".join)
+def test_sweep_takes_one_grid_sized_exp(axes, monkeypatch):
+    exp, sizes = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda x, *a, **k: sizes.append(np.size(x)) or exp(x, *a, **k))
+    sweep_2d(ModelParams(7, -0.7, 0.3), ThermoState(1.3), *AXIS_PAIRS[axes])
+    assert sizes.count(200 * 121) == 1, sizes
+
+
 MODEL = ["--q", "3", "--J", "1", "--h", "0.5", "--beta", "0.7"]
 GRID = ["--axis", "h", "--min", "-1", "--max", "1", "--steps", "5"]
 TABLE_OUT = ["--out", os.devnull]

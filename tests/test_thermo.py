@@ -430,14 +430,23 @@ def test_susceptibility_keeps_a_subnormal_value():
     assert abs(chi - 4.84e-322) <= 5e-324
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known defect: C = 0 where chi underflows but C = (J beta)^2 4r(1-r) is a normal double, because "
-    "J^2 beta^3 chi is kept wherever its factors are normal (CHANGES.md FOUND line on thermo.thermo_arrays "
-    "C = 0; ROADMAP item 3).  The fix must keep acceptance criterion 7 (C = J^2 beta^3 chi at a subnormal chi)"))
 def test_heat_capacity_where_chi_underflows():
-    # u = 380 exactly; 60-digit mpmath gives C = 3.4534545508855545e-300
-    point = thermo_point(ModelParams(2, 1e15, -999999999999620.0), ThermoState(1.0))
-    assert point.C == pytest.approx(3.4534545508855545e-300, rel=1e-12, abs=0.0)
+    # chi underflows to 0 while C = (J beta)^2 4r(1-r) is a normal double, so
+    # C must leave the product J^2 beta^3 chi, which is 0 there.  J*beta and
+    # u = h + J*beta (|u| = 376..385) are exact, so 60-digit mpmath at the
+    # inputs is the reference at the kernel's u.
+    mpmath = pytest.importorskip("mpmath")
+    cases = ((2, 1e15, -999999999999620.0, 1.0), (4, 1e15, -1999999999999620.0, 2.0),
+             (64, -3e14, 899999999999615.0, 3.0), (3, 4e15, -1999999999999622.0, 0.5),
+             (1000, 8e15, -1999999999999624.0, 0.25), (7, 1e9, -999999999999615.0, 1e6))
+    for q, J, h, beta in cases:
+        point = thermo_point(ModelParams(q, J, h), ThermoState(beta))
+        with mpmath.workdps(60):
+            jb = mpmath.mpf(J) * mpmath.mpf(beta)
+            a = (q - 1) * mpmath.exp(2 * (mpmath.mpf(h) + jb))
+            ref = float(4 * jb**2 * a / (1 + a) ** 2)
+        assert point.chi == 0.0 and ref >= 2.2250738585072014e-308, (q, J, h, beta)
+        assert point.C == pytest.approx(ref, rel=1e-12, abs=0.0), (q, J, h, beta)
 
 
 def test_heat_capacity_keeps_the_product_where_its_factors_are_normal():
