@@ -8,9 +8,9 @@ numeric routes never share arithmetic with the closed forms they check.
 Enumeration gives each periodic chain its own count of unequal bonds,
 built one site at a time so that chains sharing a prefix share the work,
 and then weights the exact histogram of those counts.  Relabelling the
-spins keeps every bond equal or unequal, so only the 2 q^(N-2) chains whose
-first spin is 0 and second spin 0 or 1 are visited, one byte each, in
-blocks of 32 KiB, and their histograms are weighted to cover all q^N.
+spins keeps every bond equal or unequal, so only chains whose first spin
+is 0 and second 0 or 1 are enumerated, as heads and tails whose
+histograms are joined over the junction spin and weighted to cover q^N.
 """
 
 from __future__ import annotations
@@ -77,11 +77,8 @@ def build_matrix(params: ModelParams, state: ThermoState) -> TransferMatrix:
 
 MAX_ENUMERATED_CONFIGS = 2_000_000
 
-# Chains are counted in blocks of this many bytes, so that bincount's intp
-# copy of a block's uint16 pairs is 128 KiB (16 KiB blocks were about 15 %
-# slower at q = 3, N = 13).  A chain's head is at most an eighth of a block,
-# so whole heads fill at least 8/9 of it.
-_BLOCK = 1 << 15
+# A head grows while the grown head stays within 4 KiB; the rest of the chain is tail.
+_HEAD_LIMIT = 1 << 12
 
 
 def _bond_count_histogram(q: int, N: int) -> np.ndarray:
@@ -90,14 +87,13 @@ def _bond_count_histogram(q: int, N: int) -> np.ndarray:
 
     Relabelling the spins keeps every bond equal or unequal, so the first
     spin is fixed at 0 (weight q) and the second at 0 (weight 1) or at 1
-    (weight q - 1, one for each label other than the first spin's): the
-    count of every one of the 2 q^(N-2) chains left is built as one uint8
-    (k <= N <= 20 under the cap).  A chain is a head, spins 1..a, and a
-    tail, spins a+1..N-1 with the bond back to the first spin.  A block is
-    the head counts plus one offset per tail and spin a (the join bond and
-    the tail's count), counted in uint16 pairs whose low byte has the
-    second spin at 0 and whose high byte has it at 1.  Nothing outlives the
-    call, and no temporary exceeds bincount's intp copy of a block.
+    (weight q - 1, one for each label other than the first spin's).  A
+    chain left is a head, spins 1..a, and a tail, spins a+1..N-1 with the
+    bond back to the first spin, each enumerated with its own uint8 count
+    (N <= 20 under the cap).  Heads are histogrammed by (spin a, second
+    spin, count) and tails by (spin a, offset); a chain's count is its
+    head's plus its offset, so the two are joined over spin a by one
+    product and sums along anti-diagonals.
     """
     # A chain of at most 3 sites has no bond without spin 0 or spin 1 in it.
     ne = np.not_equal.outer(np.arange(q), np.arange(q if N > 3 else 2)).view(np.uint8)
@@ -107,22 +103,25 @@ def _bond_count_histogram(q: int, N: int) -> np.ndarray:
         # on the slow axis, so numpy's inner loops run over the long axis.
         return (ne[:, :len(cnt), None] + cnt[None]).reshape(q, -1)
 
-    head, rest = ne[:2, :1], N - 2  # head[second spin, 0] is the bond (first, second)
-    while rest and head.size * q <= _BLOCK // 8:
+    n = N + 1
+    # head[second spin, 0]: the bond (first, second), plus n at second spin 1
+    head, rest = ne[:2, :1] * np.uint8(n + 1), N - 2
+    while rest and head.size * q <= _HEAD_LIMIT:
         head, rest = grow(head), rest - 1
     tail = np.zeros((len(head), 1), dtype=np.uint8)
     for _ in range(rest):
         tail = grow(tail)
     # offsets[tail, spin a]: the join bond, the tail's bonds and the periodic bond
     offsets = (tail + ne[:len(tail), :1]).reshape(-1, len(head))
-    blocks = np.empty((min(_BLOCK // head.size, len(offsets)),) + head.shape, dtype=np.uint8)
-    table = np.zeros(256 * (N + 1), dtype=np.int64)
-    for start in range(0, len(offsets), len(blocks)):
-        block = blocks[:len(offsets) - start]  # the last block may be partial
-        np.add(head, offsets[start:start + len(block), :, None], out=block)
-        table += np.bincount(block.reshape(-1).view("<u2"), minlength=table.size)
-    table = table.reshape(N + 1, 256)  # table[high byte, low byte]
-    return q * (table.sum(axis=0)[:N + 1] + (q - 1) * table.sum(axis=1))
+    # 2n counts per spin a: heads by (second spin, count), tails by offset and n zeros
+    rows = np.arange(0, 2 * n * len(head), 2 * n)
+    heads = np.bincount((head + rows[:, None]).reshape(-1), minlength=rows.size * 2 * n)
+    tails = np.bincount((offsets + rows).reshape(-1), minlength=rows.size * 2 * n).reshape(-1, 2 * n)
+    heads = np.array([q, q * (q - 1)]) @ heads.reshape(-1, 2, n)  # heads[spin a, count], weighted
+    # joined[j, i] counts the chains of head count j and offset i; shifting
+    # row j right by j puts them in column k = j + i
+    joined = (heads.T @ tails).reshape(-1)[:n * (2 * n - 1)].reshape(n, -1)
+    return joined.sum(axis=0)[:n]
 
 
 def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> float:
@@ -132,10 +131,11 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
     exp(w * (2k - N)), w = beta*J + h, depends on nothing else; the sum is
     a log-sum-exp over the at most N + 1 occupied levels, so neither the
     weights nor the total can overflow.  The histogram of k comes from the
-    2 q^(N-2) chains with the first spin at 0 and the second at 0 or 1,
-    weighted by the spin-relabelling symmetry and counted in 32 KiB blocks,
-    so the working set stays under 256 KiB; the cap still bounds q^N.  A
-    ValueError names the point where ln Z_N leaves double range.
+    chains with the first spin at 0 and the second at 0 or 1, enumerated as
+    heads and tails that are joined over their junction spin and weighted by
+    the spin-relabelling symmetry; no array holds a value per chain, and the
+    cap still bounds q^N.  A ValueError names the point where ln Z_N leaves
+    double range.
     """
     N = int(check_domain("N", N))
     if N < 2:

@@ -39,9 +39,9 @@ def _surface_200_by_121():
 
 
 def test_bond_count_histogram_memory_at_the_cap_edge():
-    # one 32 KiB block at a time, where one byte per chain with the first spin
-    # fixed peaked at 0.8-2.0 MiB on these chains (the q x q inequality table
-    # alone was 2 MiB at q = 1414)
+    # heads and tails are histogrammed and joined, so no array holds a value
+    # per chain: 34-103 KiB on these chains, where chains counted in 32 KiB
+    # blocks peaked at 203-250 KiB
     for q, n in ((2, 20), (3, 13), (4, 10), (5, 9), (1414, 2)):
         assert q**n <= MAX_ENUMERATED_CONFIGS < (q + 1) ** n
         tracemalloc.start()
@@ -50,7 +50,7 @@ def test_bond_count_histogram_memory_at_the_cap_edge():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**10, (q, n, peak)
+        assert peak < 128 * 2**10, (q, n, peak)
 
 
 def test_repeated_lines_are_spelled_in_one_call_and_each_block_in_one():
@@ -206,15 +206,16 @@ def test_bytes_written_per_surface(axes):
         assert out.size <= 1.01 * today, (write.__name__, out.size)
 
 
-def test_enumeration_visits_2_q_to_the_n_minus_2_chains(monkeypatch):
-    # the first spin fixed at 0 and the second at 0 or 1: 2 q^(N-2) chains,
-    # each one byte of a block that bincount reads as uint16 pairs; exact
-    bincount, pairs = np.bincount, []
-    monkeypatch.setattr(oracle.np, "bincount", lambda x, **kw: pairs.append(x.size) or bincount(x, **kw))
-    for q, n in ((3, 13), (2, 20), (5, 9), (64, 3), (1414, 2)):
-        pairs.clear()
+def test_enumeration_bincounts_each_head_and_each_tail_once(monkeypatch):
+    # one bincount of the heads and one of the tail offsets, joined over the
+    # junction spin: the values each reads per call, exact
+    bincount, sizes = np.bincount, []
+    monkeypatch.setattr(oracle.np, "bincount", lambda x, **kw: sizes.append(x.size) or bincount(x, **kw))
+    for q, n, heads, tails in ((3, 13, 1458, 729), (2, 20, 4096, 256), (5, 9, 1250, 625), (64, 3, 128, 64),
+                               (1414, 2, 2, 2)):
+        sizes.clear()
         enumerate_partition(ModelParams(q, 1.0, 0.5), ThermoState(0.7), n)
-        assert 2 * sum(pairs) == 2 * q ** (n - 2), (q, n)
+        assert sizes == [heads, tails], (q, n)
 
 
 class _CountedProducts(np.ndarray):

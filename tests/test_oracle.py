@@ -8,7 +8,7 @@ import pytest
 from potts1d import ModelParams, ThermoState, free_energy, three_route_report
 from potts1d.oracle import (
     MAX_ENUMERATED_CONFIGS,
-    _BLOCK,
+    _HEAD_LIMIT,
     _bond_count_histogram,
     enumerate_partition,
     trace_power_partition,
@@ -75,9 +75,11 @@ def test_bond_count_histogram_counts_every_chain_once():
 
 def test_bond_count_histogram_is_the_cycle_colouring_count():
     # Choosing which k of the N bonds are unequal leaves a k-cycle to be
-    # coloured properly: C(N, k) * ((q-1)^k + (-1)^k (q-1)) chains, exactly
-    chains = [c for c in _small_chains(MAX_ENUMERATED_CONFIGS) if c[0] <= 64] + [(1414, 2)]
-    assert {(2, 20), (3, 13), (64, 3)} <= set(chains)
+    # coloured properly: C(N, k) * ((q-1)^k + (-1)^k (q-1)) chains, exactly.
+    # Every (q, N) under the cap, q = 2..1414: at N = 2 the heads never grow,
+    # and at N = 3 the tail is only the bond back to the first spin
+    chains = list(_small_chains(MAX_ENUMERATED_CONFIGS))
+    assert {(2, 20), (3, 13), (64, 3), (65, 3), (125, 3), (65, 2), (1414, 2)} <= set(chains)
     for q, n in chains:
         expected = [math.comb(n, k) * ((q - 1) ** k + (-1) ** k * (q - 1)) for k in range(n + 1)]
         assert _bond_count_histogram(q, n).tolist() == expected, (q, n)
@@ -152,14 +154,12 @@ def test_enumeration_needs_two_sites():
         enumerate_partition(POINT[0], POINT[1], 1)
 
 
-def test_enumeration_spans_chunk_boundaries():
-    # 3^12 chains visit 2 * 3^10 = 118098 with the first two spins fixed: 81
-    # heads of 2 * 3^6 = 1458 bytes (2 * 3^7 exceeds an eighth of a block),
-    # 22 heads to a block, so three full blocks and a last one of 15 heads
+def test_enumeration_joins_heads_grown_to_the_limit():
+    # 3^12 chains leave 2 * 3^10 with the first two spins fixed: heads of
+    # spins 1..7, 2 * 3^6 = 1458 bytes (3 times that exceeds the limit), and
+    # 3^5 = 243 tail offsets, spins 8..11 for each spin 7
     head = 2 * 3**6
-    assert head <= _BLOCK // 8 < 3 * head
-    per_block, heads = _BLOCK // head, 2 * 3**10 // head
-    assert heads // per_block == 3 and heads % per_block == 15
+    assert head * 3 > _HEAD_LIMIT >= head
     params = ModelParams(3, 0.31, -0.17)
     state = ThermoState(1.1)
     assert enumerate_partition(params, state, 12) == pytest.approx(
