@@ -7,6 +7,7 @@ gives, numbers at full precision.  numtext spells the cells byte for byte
 as Python does; rows reach the file or stdout's binary buffer as ASCII
 bytes, piece by piece, so the whole table is never held.
 A JSON config file can mirror any flag; explicit flags override its values.
+A command's flags are parsed by that command's own parser, and by no other.
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chain with agreement-coupled exchange and field terms.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices  # each command's own parser, by name
 
     p = commands.add_parser("point", help="evaluate f, S, m, chi, C at one point")
     _add_model_flags(p)
@@ -230,12 +232,25 @@ def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return flags
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with a command line that starts with a
+    command name handed to that command's parser, as the root's subparsers
+    action would hand it, so that the root does not read its flags too."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # --help, no command, an unknown one, or an option first
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def parse_run_config(argv) -> RunConfig:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     if args.config is not None:
-        args = parser.parse_args(argv[:1] + _config_flags(args, parser) + argv[1:])
+        args = _parse_args(parser, argv[:1] + _config_flags(args, parser) + argv[1:])
     given = vars(args)
 
     # A command needs its grid flags, and each of q, J, h and (beta or T)
@@ -301,15 +316,16 @@ def run(config: RunConfig) -> int:
     if config.command == "verify":
         report = three_route_report(config.params, config.state, config.n)
         fd = fd_verify(config.params, config.state)
-        print(f"ln_Z enumeration  = {report.ln_Z_enumeration!r}")
-        print(f"ln_Z trace power  = {report.ln_Z_trace_power!r}")
-        print(f"ln_Z eigen sum    = {report.ln_Z_eigen!r}")
-        print(f"finite-N free energy (N={config.n}) = {report.finite_N_free_energy!r}")
-        print(f"max relative discrepancy = {report.max_relative_discrepancy!r}")
-        for name, err in fd.errors().items():
-            print(f"fd check {name}: relative error {err!r}")
         ok = report.max_relative_discrepancy <= config.tolerance and fd.passed
-        print("verify: PASS" if ok else "verify: FAIL")
+        print("\n".join([
+            f"ln_Z enumeration  = {report.ln_Z_enumeration!r}",
+            f"ln_Z trace power  = {report.ln_Z_trace_power!r}",
+            f"ln_Z eigen sum    = {report.ln_Z_eigen!r}",
+            f"finite-N free energy (N={config.n}) = {report.finite_N_free_energy!r}",
+            f"max relative discrepancy = {report.max_relative_discrepancy!r}",
+            *(f"fd check {name}: relative error {err!r}" for name, err in fd.errors().items()),
+            "verify: PASS" if ok else "verify: FAIL",
+        ]))
         return 0 if ok else 1
 
     raise ValueError(f"unknown command {config.command!r}")

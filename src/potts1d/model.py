@@ -13,6 +13,7 @@ one message per rule, for every module that takes them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ def check_domain(name: str, values) -> np.ndarray:
     v = np.asarray(values, dtype=None if name in ("q", "N") else float)
     if v.dtype == object:  # ints beyond uint64: clipped, as float() overflows at 2**1024
         v = np.asarray(np.clip(v, -(2**1023), 2**1023), dtype=float)
-    bad = np.logical_or.reduce([fails(v) for fails, _ in rules])
-    if np.count_nonzero(bad):
+    bad = rules[0][0](v)
+    for fails, _ in rules[1:]:
+        bad = bad | fails(v)
+    if bad.any():
         p = v.flat[int(np.argmax(bad))]
         message = next(m for fails, m in rules if fails(p)).format(p.item())
         raise ValueError(message if v.ndim == 0 else f"invalid grid point {name}={p.item()!r}: {message}")
@@ -103,7 +106,7 @@ class ThermoState:
     def __post_init__(self):
         object.__setattr__(self, "beta", check_domain("beta", self.beta).item())
 
-    @property
+    @functools.cached_property
     def T(self) -> float:
         return float(temperature(self.beta))
 

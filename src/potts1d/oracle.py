@@ -2,15 +2,16 @@
 routes the paper derives them by, exhaustive enumeration, and the report
 that compares three routes to ln Z_N.
 
-TransferMatrix is the q x q matrix itself: trace powers work on its dense
-form, and its eigendecomposition checks the kernel's two eigenvalues.  The
-numeric routes never share arithmetic with the closed forms they check.
-Enumeration gives each periodic chain its own count of unequal bonds,
-built one site at a time so that chains sharing a prefix share the work,
-and then weights the exact histogram of those counts.  Relabelling the
-spins keeps every bond equal or unequal, so only chains whose first spin
-is 0 and second 0 or 1 are enumerated, as heads and tails whose
-histograms are joined over the junction spin and weighted to cover q^N.
+TransferMatrix is the q x q matrix itself: trace powers, by squaring with
+each product rescaled, work on its dense form, and its eigendecomposition
+checks the kernel's two eigenvalues.  The numeric routes never share
+arithmetic with the closed forms they check.  Enumeration gives each
+periodic chain its own count of unequal bonds, built one site at a time so
+that chains sharing a prefix share the work, and then weights the exact
+histogram of those counts.  Relabelling the spins keeps every bond equal
+or unequal, so only chains whose first spin is 0 and second 0 or 1 are
+enumerated, as heads and tails whose histograms are joined over the
+junction spin and weighted to cover q^N.
 """
 
 from __future__ import annotations
@@ -160,23 +161,23 @@ def enumerate_partition(params: ModelParams, state: ThermoState, N: int) -> floa
 
 
 def trace_power_partition(params: ModelParams, state: ThermoState, N: int) -> float:
-    """log of trace(M^N) by repeated dense multiplication with per-step scaling.
-
-    Each product is renormalized by its largest entry and the log of the
-    scale factor is accumulated, so the N-th power never overflows.
-    """
+    """log of trace(M^N) by dense squaring: floor(log2 N) squarings and
+    popcount(N) - 1 products with M.  Each product is renormalized by its
+    largest entry and the log of the scale factor is accumulated, so the
+    N-th power never overflows."""
     N = int(check_domain("N", N))
     m = build_matrix(params, state).to_dense()
     s0 = float(m.max())
     a = m / s0
-    log_scale = N * math.log(s0)
-    p = a.copy()
-    for _ in range(N - 1):
-        p = p @ a
-        s = float(p.max())
-        p /= s
-        log_scale += math.log(s)
-    return log_scale + math.log(float(np.trace(p)))
+    p, log_p = a, 0.0  # (M / s0)^k = p * exp(log_p), from k = 1
+    for bit in f"{N:b}"[1:]:
+        log_p *= 2.0  # k -> 2k, then 2k + 1 where the bit is set
+        for right in (p, a) if bit == "1" else (p,):
+            p = p @ right
+            s = float(p.max())
+            p /= s
+            log_p += math.log(s)
+    return N * math.log(s0) + log_p + math.log(float(np.trace(p)))
 
 
 def _free_energy_per_site(params: ModelParams, state: ThermoState, N: int, ln_z: float) -> float:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import potts1d
-from potts1d import ModelParams, ThermoState, thermo_point
+from potts1d import ModelParams, ThermoState, cli, thermo_point
 from potts1d.cli import build_parser, main, parse_run_config, run, table_to_csv, table_to_json
 from potts1d.sweep import GridSpec, sweep_1d, sweep_2d
 from reference import pinned_tables
@@ -552,21 +552,60 @@ def test_help_is_written_with_status_0(capsys):
         assert out.startswith("usage: potts1d") and "--help" in out
 
 
-def test_short_flags_take_the_option_path(capsys):
-    # '-h' and '-x' are the dash arguments that are not numbers, which
-    # _Parser._parse_optional hands on to argparse as options
-    for command in ([], ["point"], ["sweep"], ["surface"], ["verify"], ["peaks"]):
-        texts = []
-        for flag in ("-h", "--help"):
-            assert main([*command, flag]) == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1] and texts[0].startswith("usage: potts1d"), command
-    for argv, error in ((["-x"], "the following arguments are required: command"),
-                        (["point", "--q", "3", "--J", "1", "--h", "0", "--beta", "1", "-x"],
-                         "unrecognized arguments: -x")):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: potts1d") and err.endswith(f"error: {error}\n"), err
+def _readme_commands():
+    # every potts1d line of the README's shell blocks, continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    return [c for c in "\n".join(blocks).replace("\\\n", " ").splitlines() if c.startswith("potts1d ")]
+
+
+POINT = "point --q 3 --J 1 --h 0 --beta 1"
+VERIFY = "verify --q 3 --J 1 --h 0.5 --beta 0.7 --n 6"
+# Command lines for both parse routes, by test id: README's, help, and usage
+# errors around a command.  '-h' and '-x' are the dash arguments that are
+# not numbers, which _Parser._parse_optional hands on to argparse as options.
+PARSE_LINES = {
+    **{f"readme {c.split()[1]}": c.removeprefix("potts1d ") for c in _readme_commands()},
+    **{f"{c} -h".lstrip(): f"{c} -h" for c in ("", "point", "sweep", "surface", "verify", "peaks")},
+    "stray option": f"{POINT} -x",
+    "stray positional": f"{VERIFY} 7",
+    "double dash": f"{VERIFY} --",
+    "double dash 5": f"{VERIFY} -- 5",
+    "abbreviated flag": "sweep --q 3 --J 1 --h 0 --beta 1 --axis T --min 1 --max 2 --ste 5",
+    "option only": "-x",
+    "option first": f"-x {POINT}",
+    "unknown command": "pointy --q 3",
+    "empty": "",
+    "config override": "point --config run.json --h 0.0",
+}
+
+
+@pytest.mark.parametrize("line", PARSE_LINES.values(), ids=PARSE_LINES.keys())
+def test_a_command_line_reads_the_same_on_both_parse_routes(line, tmp_path, monkeypatch, capsys):
+    # main hands a line that starts with a command name to that command's
+    # parser; the root parser, which hands it on as well, must give the same
+    # status, stdout and stderr, and the same values for a valid line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"q": 3, "J": 1.0, "h": 0.5, "beta": 0.7}))
+    argv, parsed, route = shlex.split(line), [], cli._parse_args
+
+    def recorded(parser, args):  # main's route, keeping each namespace it parses
+        parsed.append((args, route(parser, args)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(cli, "_parse_args", recorded)
+    status = main(argv)
+    routed = capsys.readouterr()
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as err:
+        assert (status, *routed) == (int(err.code or 0), *capsys.readouterr())
+    else:
+        assert status == 0 and routed.err == "" and parsed[0][0] == argv
+        for args, namespace in parsed:  # a config file's flags make a second parse
+            assert vars(namespace) == vars(build_parser().parse_args(args)), args
+    if argv[-1:] == ["-h"]:  # the option path, as '--help' takes
+        assert main([*argv[:-1], "--help"]) == status and capsys.readouterr() == routed
 
 
 def test_verify_is_deterministic(capsys):
@@ -851,10 +890,7 @@ def test_heat_capacity_where_j_squared_overflows(capsys, tmp_path):
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
-    # every potts1d line of the README's shell blocks, continuations joined
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
-    commands = [c for c in "\n".join(blocks).replace("\\\n", " ").splitlines() if c.startswith("potts1d ")]
+    commands = _readme_commands()
     assert len(commands) >= 5
     monkeypatch.chdir(tmp_path)
     for command in commands:

@@ -226,14 +226,15 @@ class _CountedProducts(np.ndarray):
         return super().__matmul__(other)
 
 
-def test_trace_power_multiplies_n_minus_1_times(monkeypatch):
-    # one dense product per step after the first power; exact
+def test_trace_power_squares_and_multiplies_by_the_bits_of_n(monkeypatch):
+    # a squaring per bit of N after the first and a product with M per set
+    # bit after the first; exact
     to_dense = oracle.TransferMatrix.to_dense
     monkeypatch.setattr(oracle.TransferMatrix, "to_dense", lambda self: to_dense(self).view(_CountedProducts))
-    for n in (2, 6, 13):
+    for n, products in ((1, 0), (2, 1), (6, 3), (13, 5), (20, 5)):
         _CountedProducts.products = 0
         trace_power_partition(ModelParams(3, 1.0, 0.5), ThermoState(0.7), n)
-        assert _CountedProducts.products == n - 1, n
+        assert _CountedProducts.products == n.bit_length() - 1 + bin(n).count("1") - 1 == products, n
 
 
 # The potts1d modules a process of each command has loaded when it is done:
